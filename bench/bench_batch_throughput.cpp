@@ -4,7 +4,7 @@
 // The paper reports batch-1 latency of one FPGA card; a serving deployment
 // replicates the card and spreads requests across the replicas — since PR 3
 // through a work-stealing RequestQueue instead of a static round-robin deal.
-// BatchRunner simulates every card on its own host thread, so this bench
+// The Scheduler simulates every card on the host worker pool, so this bench
 // reports both
 //  * wall sent/s  — how fast this machine simulates the farm (host-bound), and
 //  * modeled sent/s — n / makespan at 200 MHz, the throughput a real farm of
@@ -23,7 +23,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "core/batch_runner.hpp"
 #include "core/full_model.hpp"
 #include "json.hpp"
 #include "nlp/synthetic.hpp"
@@ -31,6 +30,21 @@
 #include "serve/scheduler.hpp"
 #include "table.hpp"
 #include "tensor/kernels.hpp"
+
+namespace {
+
+// The farm every sweep point runs: accelerator backend, greedy decode, and
+// every bench-gated ledger under the typed schedule verifier.
+tfacc::SchedulerConfig farm_config(int cards, int slots, int max_len) {
+  tfacc::SchedulerConfig sc;
+  sc.num_cards = cards;
+  sc.slots_per_card = slots;
+  sc.max_len = max_len;
+  sc.accel.verify_schedules = true;
+  return sc;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace tfacc;
@@ -77,18 +91,14 @@ int main(int argc, char** argv) {
   double base_modeled = 0.0;
   double modeled_at_8 = 0.0;
   for (const int cards : {1, 2, 4, 8}) {
-    BatchConfig bc;
-    bc.num_cards = cards;
-    bc.max_len = max_len;
-    // Bench-gated ledgers run under the typed verifier (PR 7).
-    bc.accel.verify_schedules = true;
-    BatchRunner runner(weights, calib, bc);
-    const BatchReport rep = runner.run(sources);
+    Scheduler farm(weights, calib, farm_config(cards, 1, max_len));
+    const ScheduleReport rep = farm.run(sources);
     const double modeled = rep.modeled_sentences_per_second();
     if (cards == 1) base_modeled = modeled;
     if (cards == 8) modeled_at_8 = modeled;
     std::printf("%5d | %9.3f %12.1f | %14lld %14.1f %8.2fx\n", cards,
-                rep.wall_seconds, rep.wall_sentences_per_second(),
+                rep.wall_seconds,
+                rep.wall_seconds > 0 ? sentences / rep.wall_seconds : 0.0,
                 static_cast<long long>(rep.makespan_cycles()), modeled,
                 base_modeled > 0 ? modeled / base_modeled : 1.0);
     json.begin_object();
@@ -100,12 +110,12 @@ int main(int argc, char** argv) {
     json.key("sa_utilization").value(rep.sa_utilization());
     bench::write_module_breakdown(
         json, static_cast<long long>(rep.total_cycles()),
-        static_cast<long long>(rep.sa_busy_cycles),
-        static_cast<long long>(rep.softmax_busy_cycles),
-        static_cast<long long>(rep.layernorm_busy_cycles),
-        static_cast<long long>(rep.softmax_stall_cycles),
-        static_cast<long long>(rep.boundary_stall_cycles),
-        static_cast<long long>(rep.prefill_stall_cycles));
+        static_cast<long long>(rep.sa_busy_cycles()),
+        static_cast<long long>(rep.softmax_busy_cycles()),
+        static_cast<long long>(rep.layernorm_busy_cycles()),
+        static_cast<long long>(rep.softmax_stall_cycles()),
+        static_cast<long long>(rep.boundary_stall_cycles()),
+        static_cast<long long>(rep.prefill_stall_cycles()));
     json.end_object();
   }
   json.end_array();
@@ -128,13 +138,8 @@ int main(int argc, char** argv) {
   std::vector<TokenSeq> one_row_outputs;
   bool outputs_identical = true;
   for (const int slots : {1, 8}) {
-    BatchConfig bc;
-    bc.num_cards = 1;
-    bc.max_len = max_len;
-    bc.slots_per_card = slots;
-    bc.accel.verify_schedules = true;
-    BatchRunner runner(weights, calib, bc);
-    const BatchReport rep = runner.run(sources);
+    Scheduler farm(weights, calib, farm_config(1, slots, max_len));
+    const ScheduleReport rep = farm.run(sources);
     if (slots == 1) {
       one_row_outputs = rep.outputs;
       one_row_modeled = rep.modeled_sentences_per_second();
@@ -145,14 +150,14 @@ int main(int argc, char** argv) {
       packed_util = rep.sa_utilization();
     }
     std::printf("%5d | %12ld %12.2f | %14lld %14.1f %7.1f%%\n", slots,
-                rep.packed_steps, rep.packed_rows_mean(),
+                rep.packed_steps(), rep.packed_rows_mean(),
                 static_cast<long long>(rep.makespan_cycles()),
                 rep.modeled_sentences_per_second(),
                 100.0 * rep.sa_utilization());
     json.begin_object();
     json.key("cards").value(1);
     json.key("slots_per_card").value(slots);
-    json.key("packed_steps").value(rep.packed_steps);
+    json.key("packed_steps").value(rep.packed_steps());
     json.key("packed_rows_mean").value(rep.packed_rows_mean());
     json.key("makespan_cycles")
         .value(static_cast<long long>(rep.makespan_cycles()));
@@ -161,12 +166,12 @@ int main(int argc, char** argv) {
     json.key("sa_utilization").value(rep.sa_utilization());
     bench::write_module_breakdown(
         json, static_cast<long long>(rep.total_cycles()),
-        static_cast<long long>(rep.sa_busy_cycles),
-        static_cast<long long>(rep.softmax_busy_cycles),
-        static_cast<long long>(rep.layernorm_busy_cycles),
-        static_cast<long long>(rep.softmax_stall_cycles),
-        static_cast<long long>(rep.boundary_stall_cycles),
-        static_cast<long long>(rep.prefill_stall_cycles));
+        static_cast<long long>(rep.sa_busy_cycles()),
+        static_cast<long long>(rep.softmax_busy_cycles()),
+        static_cast<long long>(rep.layernorm_busy_cycles()),
+        static_cast<long long>(rep.softmax_stall_cycles()),
+        static_cast<long long>(rep.boundary_stall_cycles()),
+        static_cast<long long>(rep.prefill_stall_cycles()));
     json.end_object();
   }
   json.end_array();
@@ -187,13 +192,10 @@ int main(int argc, char** argv) {
   Cycle cycles[2] = {0, 0};
   for (const DecodeMode mode :
        {DecodeMode::kKvCache, DecodeMode::kFullRecompute}) {
-    BatchConfig bc;
-    bc.num_cards = 1;
-    bc.max_len = max_len;
-    bc.decode = mode;
-    bc.accel.verify_schedules = true;
-    BatchRunner runner(weights, calib, bc);
-    const BatchReport rep = runner.run(sources);
+    SchedulerConfig sc = farm_config(1, 1, max_len);
+    sc.decode = mode;
+    Scheduler farm(weights, calib, sc);
+    const ScheduleReport rep = farm.run(sources);
     const int i = mode == DecodeMode::kKvCache ? 0 : 1;
     wall[i] = rep.wall_seconds;
     cycles[i] = rep.makespan_cycles();

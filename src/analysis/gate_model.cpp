@@ -1,32 +1,42 @@
 #include "analysis/gate_model.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
+#include "serve/gate_core.hpp"
 
 namespace tfacc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Abstract state. Everything below mirrors a named piece of the real
-// implementation; each mirror cites its source so drift is reviewable.
+// Abstract state. The gate is the shipped GateCore (serve/gate_core.hpp),
+// held by value; everything else models a named piece of the real
+// implementation and cites its source so drift is reviewable.
 // ---------------------------------------------------------------------------
 
-/// AdmissionGate::Phase (serve/admission_gate.hpp).
-enum class Phase : std::uint8_t { kIdle, kPending, kGranted, kHeld };
-
-/// AdmissionGate::Slot. `outcome`/`req` stand in for the Grant payload
-/// (burst arrivals: kPending never occurs, next_arrival is dead).
-struct Slot {
-  bool live = true;
-  Cycle clock = 0;
-  Phase phase = Phase::kIdle;
-  Cycle key = 0;
-  bool popped = false;  ///< grant outcome: true=kPopped, false=kDrained
+/// AdmissionGate::Grant payload (burst arrivals: kPending never occurs,
+/// next_arrival is dead).
+struct GrantPayload {
+  bool popped = false;  ///< outcome: true=kPopped, false=kDrained
   int req = -1;         ///< popped request id
+};
+
+/// The tampered grant rule (GateTamper::kNonMinGrant): the maximal pending
+/// pair whenever one exists, wherever the minimum is.
+struct GrantMaximalPending {
+  template <class Core>
+  std::optional<std::size_t> operator()(const Core& core,
+                                        std::optional<std::size_t>) const {
+    std::optional<std::size_t> pick;
+    for (std::size_t i = 0; i < core.size(); ++i) {
+      if (!core.live(i) || core.phase(i) != GatePhase::kPending) continue;
+      if (!pick || core.key(i) >= core.key(*pick)) pick = i;
+    }
+    return pick;
+  }
 };
 
 /// Scheduler::CardRun::StepPhase plus an explicit publish point (publish
@@ -62,10 +72,15 @@ struct Card {
 
 /// Whole-model state: cards + gate + sharded queue + the last resolved pop
 /// (the (key, id)-order check needs exactly one event of history, so it
-/// lives in the memoized state).
+/// lives in the memoized state). `Core` is GateCore, or the core with the
+/// tampered grant rule.
+template <class Core>
 struct State {
+  explicit State(std::size_t n) : cards(n), gate(n), grants(n), shards(n) {}
+
   std::vector<Card> cards;
-  std::vector<Slot> slots;
+  Core gate;
+  std::vector<GrantPayload> grants;      ///< AdmissionGate::grants_
   std::vector<std::vector<int>> shards;  ///< RequestQueue, ids only
   Cycle last_pop_key = 0;
   int last_pop_card = -1;
@@ -107,8 +122,8 @@ std::string fmt_pair(Cycle key, int card) {
 // ---------------------------------------------------------------------------
 
 /// Returns true and sets `id` on kPopped; false means kDrained.
-bool queue_pop(State& st, int c, int& id) {
-  std::vector<int>& own = st.shards[static_cast<std::size_t>(c)];
+bool queue_pop(std::vector<std::vector<int>>& shards, int c, int& id) {
+  std::vector<int>& own = shards[static_cast<std::size_t>(c)];
   if (!own.empty()) {
     id = own.front();
     own.erase(own.begin());
@@ -116,100 +131,72 @@ bool queue_pop(State& st, int c, int& id) {
   }
   int victim = -1;
   std::size_t victim_load = 0;
-  for (std::size_t s = 0; s < st.shards.size(); ++s) {
+  for (std::size_t s = 0; s < shards.size(); ++s) {
     if (static_cast<int>(s) == c) continue;
-    if (st.shards[s].size() > victim_load) {
-      victim_load = st.shards[s].size();
+    if (shards[s].size() > victim_load) {
+      victim_load = shards[s].size();
       victim = static_cast<int>(s);
     }
   }
   if (victim < 0) return false;
-  std::vector<int>& v = st.shards[static_cast<std::size_t>(victim)];
+  std::vector<int>& v = shards[static_cast<std::size_t>(victim)];
   id = v.back();
   v.pop_back();
   return true;
 }
 
 // ---------------------------------------------------------------------------
-// AdmissionGate mirror (serve/admission_gate.cpp). Every helper below is
-// one critical section of the real gate; scan() is scan_locked() with the
-// invariant probes (and the seeded tampers) spliced in.
+// AdmissionGate::deliver_locked (serve/admission_gate.cpp) with the
+// invariant probes (and the seeded payload tampers) spliced in: called
+// with whatever card a GateCore transition just granted.
 // ---------------------------------------------------------------------------
 
-void scan(State& st, Explorer& ex) {
-  if (ex.stop) return;
-  const std::size_t n = st.slots.size();
-
-  // The real scan: global-minimum blocking pair, phase-agnostic. First
-  // index among equal keys wins (strict `<`), i.e. the id tie-break.
-  std::size_t min_c = n;
-  Cycle min_k = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const Slot& s = st.slots[i];
-    if (!s.live) continue;
-    const Cycle k = s.phase == Phase::kIdle ? s.clock : s.key;
-    if (min_c == n || k < min_k) {
-      min_c = i;
-      min_k = k;
-    }
-  }
-
-  // Pick the slot to grant. Faithful protocol: the minimum, iff pending.
-  std::size_t grant_c = n;
-  if (ex.cfg.tamper == GateTamper::kNonMinGrant) {
-    // Tamper: grant the maximal pending pair whenever one exists.
-    for (std::size_t i = 0; i < n; ++i) {
-      const Slot& s = st.slots[i];
-      if (!s.live || s.phase != Phase::kPending) continue;
-      if (grant_c == n || s.key >= st.slots[grant_c].key) grant_c = i;
-    }
-  } else if (min_c < n && st.slots[min_c].phase == Phase::kPending) {
-    grant_c = min_c;
-  }
-  if (grant_c == n) return;
-
-  Slot& s = st.slots[grant_c];
+template <class Core>
+void deliver(State<Core>& st, std::optional<std::size_t> granted,
+             Explorer& ex) {
+  if (!granted || ex.stop) return;
+  const std::size_t grant_c = *granted;
   const int card = static_cast<int>(grant_c);
+  const Cycle key = st.gate.key(grant_c);
   ++ex.result.grants;
 
   // GATE-ORDER probe 1: the granted pair must be <= every live blocking
   // pair (pops enter the total order at the global minimum).
-  for (std::size_t i = 0; i < n; ++i) {
-    const Slot& o = st.slots[i];
-    if (!o.live || i == grant_c) continue;
-    const Cycle k = o.phase == Phase::kIdle ? o.clock : o.key;
-    if (k < s.key || (k == s.key && i < grant_c)) {
+  for (std::size_t i = 0; i < st.gate.size(); ++i) {
+    if (!st.gate.live(i) || i == grant_c) continue;
+    const Cycle k = st.gate.blocking_key(i);
+    if (k < key || (k == key && i < grant_c)) {
       ex.fail(GateDiagCode::kOrder, card,
-              "granted " + fmt_pair(s.key, card) + " while live pair " +
+              "granted " + fmt_pair(key, card) + " while live pair " +
                   fmt_pair(k, static_cast<int>(i)) + " is smaller");
       return;
     }
   }
   // GATE-ORDER probe 2: the pop log is non-decreasing in (key, id).
   if (st.last_pop_card >= 0 &&
-      (s.key < st.last_pop_key ||
-       (s.key == st.last_pop_key && card < st.last_pop_card))) {
+      (key < st.last_pop_key ||
+       (key == st.last_pop_key && card < st.last_pop_card))) {
     ex.fail(GateDiagCode::kOrder, card,
-            "pop " + fmt_pair(s.key, card) + " resolved after pop " +
+            "pop " + fmt_pair(key, card) + " resolved after pop " +
                 fmt_pair(st.last_pop_key, st.last_pop_card));
     return;
   }
   // GATE-KEY probe: the pop must execute at the frozen key the card's
   // step-top snapshot mandated, never at a live clock.
   const Card& cd = st.cards[grant_c];
-  if (s.key != cd.spec_key) {
+  if (key != cd.spec_key) {
     ex.fail(GateDiagCode::kKey, card,
-            "pop executed at key=" + std::to_string(s.key) +
+            "pop executed at key=" + std::to_string(key) +
                 " but the frozen step-top snapshot key is " +
                 std::to_string(cd.spec_key));
     return;
   }
-  st.last_pop_key = s.key;
+  st.last_pop_key = key;
   st.last_pop_card = card;
 
   // The pop itself, under the gate mutex, at the frozen key.
   int id = -1;
-  bool popped = queue_pop(st, card, id);
+  bool popped = queue_pop(st.shards, card, id);
   if (popped && ex.cfg.tamper == GateTamper::kDoubleGrant &&
       st.tamper_armed) {
     // Tamper (one-shot): leave the request in the queue as well.
@@ -223,54 +210,11 @@ void scan(State& st, Explorer& ex) {
     popped = false;
     id = -1;
   }
-  s.popped = popped;
-  s.req = id;
-  s.phase = Phase::kGranted;
+  st.grants[grant_c] = {popped, id};
 
   // on_grant_: WorkerPool::unpark(card), still under the gate mutex.
   if (ex.cfg.tamper != GateTamper::kLostUnpark)
     st.cards[grant_c].parked = false;
-}
-
-void gate_reserve(State& st, int c, Cycle key, Explorer& ex) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  TFACC_CHECK(s.phase == Phase::kIdle || s.phase == Phase::kHeld);
-  s.key = std::max(key, s.clock);
-  s.clock = s.key;
-  s.phase = Phase::kPending;
-  scan(st, ex);
-}
-
-bool gate_try_consume(State& st, int c, bool& popped, int& req) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  if (s.phase != Phase::kGranted) {
-    TFACC_CHECK(s.phase == Phase::kPending);
-    return false;
-  }
-  popped = s.popped;
-  req = s.req;
-  s.phase = Phase::kHeld;
-  return true;  // no scan: try_consume is the one op that never resolves
-}
-
-void gate_release(State& st, int c, Explorer& ex) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  TFACC_CHECK(s.phase == Phase::kHeld);
-  s.phase = Phase::kIdle;
-  scan(st, ex);
-}
-
-void gate_publish(State& st, int c, Cycle t, Explorer& ex) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  s.clock = std::max(s.clock, t);
-  scan(st, ex);
-}
-
-void gate_retire(State& st, int c, Explorer& ex) {
-  Slot& s = st.slots[static_cast<std::size_t>(c)];
-  s.live = false;
-  s.phase = Phase::kIdle;
-  scan(st, ex);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,7 +234,8 @@ Cycle frozen_key(const Card& cd, const GateModelConfig& cfg) {
 
 void complete_drain(Card& cd);
 
-void post_reservation(State& st, int c, Explorer& ex) {
+template <class Core>
+void post_reservation(State<Core>& st, int c, Explorer& ex) {
   Card& cd = st.cards[static_cast<std::size_t>(c)];
   cd.spec_key = frozen_key(cd, ex.cfg);
   // Tamper: post the live clock (what a naive implementation reading the
@@ -298,18 +243,20 @@ void post_reservation(State& st, int c, Explorer& ex) {
   const Cycle posted =
       ex.cfg.tamper == GateTamper::kFrozenKey ? cd.clock : cd.spec_key;
   cd.posted = true;
-  gate_reserve(st, c, posted, ex);
+  deliver(st, st.gate.reserve(static_cast<std::size_t>(c), posted), ex);
 }
 
-void step_card(State& st, int c, Explorer& ex) {
-  Card& cd = st.cards[static_cast<std::size_t>(c)];
+template <class Core>
+void step_card(State<Core>& st, int c, Explorer& ex) {
+  const std::size_t cu = static_cast<std::size_t>(c);
+  Card& cd = st.cards[cu];
   const int slots = ex.cfg.slots_per_card;
   for (;;) {
     switch (cd.pc) {
       case Pc::kTop: {
         if (cd.queue_drained && cd.active.empty() && cd.pending.empty()) {
           cd.done = true;
-          gate_retire(st, c, ex);
+          deliver(st, st.gate.retire(cu), ex);
           return;
         }
         cd.snapshot = cd.clock;
@@ -352,7 +299,7 @@ void step_card(State& st, int c, Explorer& ex) {
             // Done popping this drain: yield the turn, then complete (the
             // completion continuation is card-local, next case below).
             complete_drain(cd);
-            gate_release(st, c, ex);
+            deliver(st, st.gate.release(cu), ex);
             return;
           }
           post_reservation(st, c, ex);  // keep the turn, re-reserve
@@ -366,28 +313,27 @@ void step_card(State& st, int c, Explorer& ex) {
           post_reservation(st, c, ex);
           return;
         }
-        bool popped = false;
-        int req = -1;
-        if (!gate_try_consume(st, c, popped, req)) {
+        if (!st.gate.try_consume(cu)) {
           cd.parked = true;  // WorkerPool: park until on_grant unparks
           return;
         }
+        const GrantPayload& grant = st.grants[cu];
         cd.posted = false;
         cd.holding = true;
-        if (!popped) {
+        if (!grant.popped) {
           cd.queue_drained = true;  // burst: empty is final
         } else {
           ++cd.reserved;
           ++cd.admitted_in_drain;
-          cd.admitted.push_back(req);
-          cd.pending.push_back(req);  // pack defers the encode
+          cd.admitted.push_back(grant.req);
+          cd.pending.push_back(grant.req);  // pack defers the encode
           if (ex.cfg.proxy_keys) ++cd.clock;  // proxy busy() counts admits
         }
         return;
       }
       case Pc::kMidPublish: {
         cd.pc = Pc::kTop;
-        gate_publish(st, c, cd.clock, ex);
+        deliver(st, st.gate.publish(cu, cd.clock), ex);
         return;
       }
     }
@@ -415,7 +361,8 @@ void append_int(std::string& out, long long v) {
   out += ',';
 }
 
-std::string encode(const State& st) {
+template <class Core>
+std::string encode(const State<Core>& st) {
   std::string out;
   out.reserve(256);
   for (const Card& c : st.cards) {
@@ -437,12 +384,13 @@ std::string encode(const State& st) {
     for (const int id : c.admitted) append_int(out, id);
     out += '|';
   }
-  for (const Slot& s : st.slots) {
-    append_int(out, (s.live << 3) | (static_cast<int>(s.phase) << 1) |
-                        static_cast<int>(s.popped));
-    append_int(out, s.clock);
-    append_int(out, s.key);
-    append_int(out, s.req);
+  for (std::size_t i = 0; i < st.gate.size(); ++i) {
+    append_int(out, (st.gate.live(i) << 3) |
+                        (static_cast<int>(st.gate.phase(i)) << 1) |
+                        static_cast<int>(st.grants[i].popped));
+    append_int(out, st.gate.clock(i));
+    append_int(out, st.gate.key(i));
+    append_int(out, st.grants[i].req);
     out += '|';
   }
   for (const auto& shard : st.shards) {
@@ -457,7 +405,8 @@ std::string encode(const State& st) {
 
 /// What the user-visible determinism claim pins: which card admitted which
 /// requests in which order, and every card's final clock (the ledger).
-std::string terminal_fingerprint(const State& st) {
+template <class Core>
+std::string terminal_fingerprint(const State<Core>& st) {
   std::string out;
   for (const Card& c : st.cards) {
     for (const int id : c.admitted) append_int(out, id);
@@ -468,7 +417,8 @@ std::string terminal_fingerprint(const State& st) {
   return out;
 }
 
-void check_quiescence(const State& st, Explorer& ex) {
+template <class Core>
+void check_quiescence(const State<Core>& st, Explorer& ex) {
   const int m = ex.cfg.num_requests;
   std::vector<int> admits(static_cast<std::size_t>(m), 0);
   for (const Card& c : st.cards)
@@ -509,7 +459,8 @@ void check_quiescence(const State& st, Explorer& ex) {
   ++ex.result.terminals;
 }
 
-void dfs(const State& st, Explorer& ex, int depth) {
+template <class Core>
+void dfs(const State<Core>& st, Explorer& ex, int depth) {
   if (ex.stop) return;
   bool any_enabled = false;
   bool any_live = false;
@@ -520,7 +471,7 @@ void dfs(const State& st, Explorer& ex, int depth) {
     if (cd.parked) continue;
     any_enabled = true;
 
-    State next = st;
+    State<Core> next = st;
     step_card(next, static_cast<int>(c), ex);
     if (ex.stop) return;
     ++ex.result.transitions;
@@ -546,6 +497,21 @@ void dfs(const State& st, Explorer& ex, int depth) {
     }
     check_quiescence(st, ex);
   }
+}
+
+template <class Core>
+GateModelResult explore(const GateModelConfig& cfg) {
+  Explorer ex(cfg);
+  State<Core> init(static_cast<std::size_t>(cfg.num_cards));
+  // Scheduler::run pushes sources in order; RequestQueue deals them
+  // round-robin across the card shards.
+  for (int id = 0; id < cfg.num_requests; ++id)
+    init.shards[static_cast<std::size_t>(id % cfg.num_cards)].push_back(id);
+
+  ex.seen.insert(encode(init));
+  ex.result.states = 1;
+  dfs(init, ex, 0);
+  return ex.result;
 }
 
 }  // namespace
@@ -595,20 +561,9 @@ GateModelResult check_gate_model(const GateModelConfig& cfg) {
       cfg.slots_per_card >= 1,
       "slots_per_card must be >= 1, got " << cfg.slots_per_card);
 
-  Explorer ex(cfg);
-  State init;
-  init.cards.resize(static_cast<std::size_t>(cfg.num_cards));
-  init.slots.resize(static_cast<std::size_t>(cfg.num_cards));
-  init.shards.resize(static_cast<std::size_t>(cfg.num_cards));
-  // Scheduler::run pushes sources in order; RequestQueue deals them
-  // round-robin across the card shards.
-  for (int id = 0; id < cfg.num_requests; ++id)
-    init.shards[static_cast<std::size_t>(id % cfg.num_cards)].push_back(id);
-
-  ex.seen.insert(encode(init));
-  ex.result.states = 1;
-  dfs(init, ex, 0);
-  return ex.result;
+  return cfg.tamper == GateTamper::kNonMinGrant
+             ? explore<BasicGateCore<GrantMaximalPending>>(cfg)
+             : explore<GateCore>(cfg);
 }
 
 }  // namespace tfacc

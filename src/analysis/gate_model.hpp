@@ -1,18 +1,17 @@
-// Exhaustive model checker for the AdmissionGate reservation protocol
-// (PR 10 tentpole, pillar 2).
+// Exhaustive model checker for the admission protocol.
 //
 // Clang's -Wthread-safety proves the *lock discipline* of the serve stack
-// (every slot access under mu_, see serve/admission_gate.hpp), but not the
+// (every gate access under mu_, see serve/admission_gate.hpp), but not the
 // *protocol*: that pops resolve in global (key, id) order, that no
 // interleaving deadlocks, that no grant is lost or duplicated. TSan can
 // only sample interleavings the host scheduler happens to produce. This
-// module closes that gap with a small-scope exhaustive search: an
-// abstracted replica of the card step machine (Scheduler::CardRun, pack
-// mode, burst arrivals) driving a faithful replica of the gate
-// (reserve / try_consume / release / publish / retire over
-// kIdle/kPending/kGranted/kHeld), explored by memoized DFS over EVERY
-// interleaving of gate operations for small farms (num_cards <= 4,
-// num_requests <= 4).
+// module closes that gap with a small-scope exhaustive search: a model of
+// the card step machine (Scheduler::CardRun, pack mode, burst arrivals)
+// and of the sharded RequestQueue, driving the shipped GateCore
+// (serve/gate_core.hpp) — reserve / try_consume / release / publish /
+// retire and the min-blocking-pair scan run as compiled for the serving
+// stack — explored by memoized DFS over EVERY interleaving of gate
+// operations for small farms (num_cards <= 4, num_requests <= 4).
 //
 // The abstraction is sound for the protocol because the gate mutex
 // serializes all shared state: the only scheduling choices that matter are
@@ -39,7 +38,10 @@
 //                  proven here over the whole space
 //
 // `--tamper` (GateTamper) seeds one protocol bug per mode and the checker
-// must catch each with its precise code — proving the wall can fail.
+// must catch each with its precise code — proving the wall can fail. Four
+// tampers live in the models around the core; the non-minimal grant swaps
+// GateCore's compile-time grant rule, so the shipped gate has no tamper
+// switch.
 #pragma once
 
 #include <cstdint>
@@ -84,8 +86,8 @@ enum class GateTamper {
   kDoubleGrant,  ///< first pop leaves the request in the queue -> GATE-DUP
   kDropGrant,    ///< first popped request is discarded (reported as
                  ///  drained)                      -> GATE-LOST
-  kNonMinGrant,  ///< scan grants the maximal pending pair instead of the
-                 ///  global minimum               -> GATE-ORDER
+  kNonMinGrant,  ///< the core grants the maximal pending pair instead
+                 ///  of the global minimum        -> GATE-ORDER
 };
 
 const char* gate_tamper_name(GateTamper tamper);

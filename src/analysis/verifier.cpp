@@ -360,12 +360,4 @@ VerifyResult verify_fused(const FusedRun& run, const VerifyOptions& opts) {
   return res;
 }
 
-// Compat shim (declared in sim/op_graph.hpp): the pre-PR-7 string audit,
-// now answering from the typed verifier. "" when legal, else the first
-// diagnostic's message. New code should call verify_schedule directly.
-std::string audit_schedule(const OpGraph& g, const ScheduleStats& st) {
-  const VerifyResult res = verify_schedule(g, st);
-  return res.ok() ? "" : res.diags.front().message;
-}
-
 }  // namespace tfacc

@@ -1,10 +1,8 @@
 // Schedule verifier (PR 7): typed diagnostics for every ledger.
 //
 // The repo's core claim — paper-pinned cycle counts and deterministic,
-// host-independent per-card ledgers — used to rest on one ad-hoc
-// audit_schedule() returning an unstructured string, invoked only from
-// tests that happened to call it. This subsystem treats any OpGraph plus a
-// placed schedule (ScheduleStats / FusedRun) as a *program* and checks the
+// host-independent per-card ledgers — rests on every placed schedule being
+// legal. This subsystem treats any OpGraph plus a placed schedule (ScheduleStats / FusedRun) as a *program* and checks the
 // full invariant set:
 //
 //   * coverage           — every op has exactly one interval and result time
@@ -23,8 +21,7 @@
 //
 // Violations come back as typed Diagnostics (stable code, offending op ids,
 // resource, cycle interval) instead of a string, so a failing CI run is
-// actionable without a local repro. audit_schedule() (sim/op_graph.hpp) is
-// now a thin compat shim over verify_schedule().
+// actionable without a local repro.
 #pragma once
 
 #include <cstdint>

@@ -18,8 +18,9 @@
 // are identical by construction (pinned in tests/test_op_graph.cpp).
 //
 // Exposed publicly (rather than as accelerator.cpp internals) so tests can
-// audit schedule legality: audit_schedule() proves no resource double-books
-// and no op outruns its operands, for every flow and policy.
+// audit schedule legality: verify_schedule() (analysis/verifier.hpp) proves
+// no resource double-books and no op outruns its operands, for every flow
+// and policy.
 #pragma once
 
 #include <vector>

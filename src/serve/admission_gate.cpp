@@ -1,78 +1,47 @@
 #include "serve/admission_gate.hpp"
 
-#include <algorithm>
 #include <utility>
-
-#include "common/check.hpp"
 
 namespace tfacc {
 
 AdmissionGate::AdmissionGate(std::size_t n, RequestQueue& queue,
                              std::function<void(std::size_t)> on_grant)
-    : queue_(&queue), on_grant_(std::move(on_grant)), slots_(n) {}
+    : queue_(&queue), on_grant_(std::move(on_grant)), core_(n), grants_(n) {}
 
 void AdmissionGate::reserve(std::size_t c, Cycle key) {
   const MutexLock lock(mu_);
-  Slot& s = slots_[c];
-  TFACC_CHECK(s.phase == Phase::kIdle || s.phase == Phase::kHeld);
-  s.key = std::max(key, s.clock);
-  s.clock = s.key;
-  s.phase = Phase::kPending;
-  scan_locked();
+  deliver_locked(core_.reserve(c, key));
 }
 
 bool AdmissionGate::try_consume(std::size_t c, Grant* out) {
   const MutexLock lock(mu_);
-  Slot& s = slots_[c];
-  if (s.phase != Phase::kGranted) {
-    TFACC_CHECK(s.phase == Phase::kPending);
-    return false;
-  }
-  *out = std::move(s.grant);
-  s.phase = Phase::kHeld;
+  if (!core_.try_consume(c)) return false;
+  *out = std::move(grants_[c]);
   return true;
 }
 
 void AdmissionGate::release(std::size_t c) {
   const MutexLock lock(mu_);
-  Slot& s = slots_[c];
-  TFACC_CHECK(s.phase == Phase::kHeld);
-  s.phase = Phase::kIdle;
-  scan_locked();
+  deliver_locked(core_.release(c));
 }
 
 void AdmissionGate::publish(std::size_t c, Cycle t) {
   const MutexLock lock(mu_);
-  slots_[c].clock = std::max(slots_[c].clock, t);
-  scan_locked();
+  deliver_locked(core_.publish(c, t));
 }
 
 void AdmissionGate::retire(std::size_t c) {
   const MutexLock lock(mu_);
-  slots_[c].live = false;
-  slots_[c].phase = Phase::kIdle;
-  scan_locked();
+  deliver_locked(core_.retire(c));
 }
 
-void AdmissionGate::scan_locked() {
-  std::size_t min_c = slots_.size();
-  Cycle min_k = 0;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& s = slots_[i];
-    if (!s.live) continue;
-    const Cycle k = s.phase == Phase::kIdle ? s.clock : s.key;
-    if (min_c == slots_.size() || k < min_k) {
-      min_c = i;
-      min_k = k;
-    }
-  }
-  if (min_c == slots_.size()) return;
-  Slot& s = slots_[min_c];
-  if (s.phase != Phase::kPending) return;
-  s.grant.outcome = queue_->try_pop(static_cast<int>(min_c), s.key,
-                                    s.grant.req, &s.grant.next_arrival);
-  s.phase = Phase::kGranted;
-  if (on_grant_) on_grant_(min_c);
+void AdmissionGate::deliver_locked(std::optional<std::size_t> granted) {
+  if (!granted) return;
+  const std::size_t c = *granted;
+  Grant& g = grants_[c];
+  g.outcome = queue_->try_pop(static_cast<int>(c), core_.key(c), g.req,
+                              &g.next_arrival);
+  if (on_grant_) on_grant_(c);
 }
 
 }  // namespace tfacc

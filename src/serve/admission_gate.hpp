@@ -1,14 +1,10 @@
-// Convoy-free simulated-time admission order (the PR 9 tentpole), hoisted
-// out of scheduler.cpp into an annotatable header (PR 10) so the lock
+// Convoy-free simulated-time admission order, annotated so the lock
 // discipline is checked at compile time by Clang's -Wthread-safety.
 //
 // Card threads race on the host, but the farm being modeled has every card
 // live at once, so "who takes the next request" must follow *simulated*
-// time, not host scheduling. The old protocol had each vacant card
-// host-block in wait_turn() until it held the global minimum (clock, id) —
-// cards with live decode work convoyed behind the slowest sibling's step
-// compute. Here admission is reservation-based and a card never blocks
-// while it has work:
+// time, not host scheduling. Admission is reservation-based and a card
+// never blocks while it has work:
 //
 //  * reserve(c, key) posts card c's intent to pop at simulated time `key`.
 //    The key is frozen — computed from simulated state only, so it is
@@ -17,39 +13,38 @@
 //    (key, id) pair is the strict minimum over every live card's blocking
 //    pair resolves the admission: the queue pop runs right there, under
 //    the gate mutex, at c's frozen key — pops execute in exact (key, id)
-//    order regardless of host scheduling. The outcome is parked in the
-//    slot as a Grant.
+//    order regardless of host scheduling. The outcome is parked in c's
+//    Grant.
 //  * The card collects its grant with the non-blocking try_consume() at
 //    its next drain point; with in-flight work it keeps stepping while the
 //    grant is pending and only parks (WorkerPool) when it truly cannot
 //    progress. A card with no reservation blocks siblings at its published
-//    clock, exactly like the old protocol.
+//    clock.
 //
-// Blocking pair of live card i: (key_i, i) while a reservation is posted
-// (pending, granted or held), else (clock_i, i). A pending slot is granted
-// iff its pair is strictly below every other live card's pair — the same
-// total order wait_turn() enforced, so the admission sequence (and with it
-// every per-card cycle ledger) is unchanged from the blocking protocol.
+// The protocol — phases, blocking pairs, which transition grants whom —
+// is GateCore (serve/gate_core.hpp); this class adds the lock, the queue
+// pop and the unpark hook around it.
 //
 // Concurrency contract (machine-checked):
-//  * Every slot field is guarded by mu_; all protocol transitions happen
-//    under it (TFACC_GUARDED_BY / TFACC_REQUIRES below, compile-time under
-//    Clang).
-//  * Lock order: mu_ → RequestQueue shard mutexes (scan_locked pops under
-//    mu_) and mu_ → WorkerPool::mu_ (on_grant_ unparks the granted card's
-//    job under mu_). Neither callee ever takes the gate mutex, so the
-//    order is acyclic.
-//  * The reachable protocol state space (reserve/try_consume/release/
-//    publish/retire × kIdle/kPending/kGranted/kHeld) is explored
-//    exhaustively by tools/gate_model_check over every interleaving of
-//    small farms — see src/analysis/gate_model.hpp.
+//  * The core and every grant payload are guarded by mu_; all protocol
+//    transitions happen under it (TFACC_GUARDED_BY / TFACC_REQUIRES below,
+//    compile-time under Clang).
+//  * Lock order: mu_ → RequestQueue shard mutexes (deliver_locked pops
+//    under mu_) and mu_ → WorkerPool::mu_ (on_grant_ unparks the granted
+//    card's job under mu_). Neither callee ever takes the gate mutex, so
+//    the order is acyclic.
+//  * The reachable protocol state space is explored exhaustively by
+//    tools/gate_model_check, which runs GateCore itself over every
+//    interleaving of small farms — see src/analysis/gate_model.hpp.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "serve/gate_core.hpp"
 #include "serve/request_queue.hpp"
 
 namespace tfacc {
@@ -70,47 +65,24 @@ class AdmissionGate {
   AdmissionGate(const AdmissionGate&) = delete;
   AdmissionGate& operator=(const AdmissionGate&) = delete;
 
-  /// Post card c's intent to pop at simulated time `key`. Raises the card's
-  /// clock to the key (a reservation is also a progress publication). Legal
-  /// from idle or held (re-reserving right after consuming a grant).
+  // GateCore's transitions (serve/gate_core.hpp), each one critical
+  // section. try_consume also moves the resolved Grant into *out.
   void reserve(std::size_t c, Cycle key) TFACC_EXCLUDES(mu_);
-
-  /// Collect a resolved reservation. Non-blocking: true moves the grant out
-  /// and holds the turn (the slot keeps blocking siblings at its key until
-  /// release()/reserve()); false means the reservation is still pending.
   bool try_consume(std::size_t c, Grant* out) TFACC_EXCLUDES(mu_);
-
-  /// Drop a held turn without re-reserving (card is full or done popping).
   void release(std::size_t c) TFACC_EXCLUDES(mu_);
-
-  /// Monotonically raise card c's published clock (end of a step).
   void publish(std::size_t c, Cycle t) TFACC_EXCLUDES(mu_);
-
-  /// Card c is done (no further admissions); scans stop considering it.
   void retire(std::size_t c) TFACC_EXCLUDES(mu_);
 
  private:
-  enum class Phase { kIdle, kPending, kGranted, kHeld };
-
-  struct Slot {
-    bool live = true;
-    Cycle clock = 0;
-    Phase phase = Phase::kIdle;
-    Cycle key = 0;
-    Grant grant;
-  };
-
-  // Resolve at most one admission: if the globally minimal blocking pair
-  // belongs to a PENDING slot, pop for it at its frozen key and mark it
-  // granted. A granted/held minimum blocks everyone (its pop is already in
-  // the total order but its card has not folded it in yet); an idle minimum
-  // means that card is mid-step and may still reserve an earlier key.
-  void scan_locked() TFACC_REQUIRES(mu_);
+  // Pop for the card a core transition just granted (if any), at its frozen
+  // key, park the outcome in its Grant, and fire on_grant_.
+  void deliver_locked(std::optional<std::size_t> granted) TFACC_REQUIRES(mu_);
 
   RequestQueue* queue_;
   std::function<void(std::size_t)> on_grant_;
   mutable Mutex mu_;
-  std::vector<Slot> slots_ TFACC_GUARDED_BY(mu_);
+  GateCore core_ TFACC_GUARDED_BY(mu_);
+  std::vector<Grant> grants_ TFACC_GUARDED_BY(mu_);
 };
 
 }  // namespace tfacc

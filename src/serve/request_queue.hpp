@@ -1,8 +1,8 @@
 // Work-stealing request queue in front of the decode farm.
 //
-// PR 1's BatchRunner dealt sentence i to card i % num_cards statically: a
-// card that drew short sentences idled while its neighbors worked through
-// long ones. Here every card owns a shard (deque) of the queue; requests are
+// A static deal of sentence i to card i % num_cards would idle a card that
+// drew short sentences while its neighbors worked through long ones. Here
+// every card owns a shard (deque) of the queue; requests are
 // dealt round-robin into the shards, a card pops work from the front of its
 // own shard, and a card whose shard runs dry steals from the *back* of the
 // most loaded sibling — the classic owner-front/thief-back split that keeps

@@ -142,12 +142,6 @@ struct Scheduler::Card {
   }
 };
 
-// AdmissionGate (convoy-free simulated-time admission, PR 9) and WorkerPool
-// (persistent host worker pool) were defined here until PR 10 hoisted them
-// into annotatable headers — serve/admission_gate.hpp and
-// serve/worker_pool.hpp — so Clang's -Wthread-safety can check their lock
-// discipline at compile time.
-
 namespace {
 
 std::unique_ptr<SentenceSearch> make_search(const SchedulerConfig& cfg,

@@ -1,6 +1,6 @@
 // Negative-compilation test: Clang's -Wthread-safety (with -Werror) MUST
 // reject this file — it calls a TFACC_REQUIRES(mu_) method without holding
-// the capability (the scan_locked() pattern from serve/admission_gate.hpp:
+// the capability (the deliver_locked() pattern from serve/admission_gate.hpp:
 // a _locked helper invoked lock-free is exactly the bug class this
 // annotation exists to stop). Registered in ctest (Clang builds only) with
 // WILL_FAIL.

@@ -1,4 +1,5 @@
-// Tests for the AdmissionGate protocol model checker
+// Tests for the admission protocol: GateCore's transitions driven directly
+// (src/serve/gate_core.hpp), and the model checker that runs it
 // (src/analysis/gate_model.hpp): the faithful protocol verifies clean over
 // every interleaving of every small-scope shape, each seeded tamper is
 // caught by exactly its documented GATE-* code, and the exploration itself
@@ -8,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+
+#include "common/check.hpp"
+#include "serve/gate_core.hpp"
 
 namespace tfacc {
 namespace {
@@ -29,6 +34,55 @@ std::string describe(const GateModelConfig& cfg, const GateModelResult& res) {
          " reqs=" + std::to_string(cfg.num_requests) +
          " slots=" + std::to_string(cfg.slots_per_card) +
          (cfg.proxy_keys ? " proxy" : " accel") + "\n" + res.to_string();
+}
+
+// --------------------------------------------------------------------------
+// GateCore transitions. Every card starts live and idle at clock 0, so an
+// idle card blocks siblings at (0, id) until it publishes or retires.
+// --------------------------------------------------------------------------
+
+TEST(GateCore, ReserveFromPendingAndReleaseFromIdleThrow) {
+  GateCore core(2);
+  EXPECT_THROW((void)core.release(0), CheckError);
+  EXPECT_EQ(core.reserve(0, 5), std::nullopt);  // idle card 1 blocks
+  EXPECT_THROW((void)core.reserve(0, 7), CheckError);
+}
+
+TEST(GateCore, EqualKeysGoToTheLowerCard) {
+  GateCore core(2);
+  EXPECT_EQ(core.reserve(1, 3), std::nullopt);
+  EXPECT_EQ(core.publish(0, 3), std::nullopt);  // idle (3, 0) < (3, 1)
+  EXPECT_EQ(core.reserve(0, 3), 0u);
+  EXPECT_EQ(core.phase(1), GatePhase::kPending);
+}
+
+TEST(GateCore, GrantedOrHeldMinimumBlocksPendingSibling) {
+  GateCore core(2);
+  EXPECT_EQ(core.reserve(0, 0), 0u);
+  EXPECT_EQ(core.reserve(1, 5), std::nullopt);  // granted (0, 0) blocks
+  ASSERT_TRUE(core.try_consume(0));
+  EXPECT_EQ(core.publish(1, 5), std::nullopt);  // held (0, 0) blocks
+  EXPECT_FALSE(core.try_consume(1));
+}
+
+TEST(GateCore, PublishOrRetireOfTheMinimumResolvesTheNextSibling) {
+  for (const bool retire : {false, true}) {
+    GateCore core(2);
+    EXPECT_EQ(core.reserve(1, 5), std::nullopt);
+    EXPECT_EQ(retire ? core.retire(0) : core.publish(0, 9), 1u) << retire;
+    EXPECT_TRUE(core.try_consume(1)) << retire;
+  }
+}
+
+TEST(GateCore, RetiredCardIsNeverGranted) {
+  GateCore core(2);
+  EXPECT_EQ(core.retire(0), std::nullopt);
+  // The lowest key in the farm, but card 0 is out of every scan.
+  EXPECT_EQ(core.reserve(0, 0), std::nullopt);
+  EXPECT_EQ(core.reserve(1, 4), 1u);
+  EXPECT_EQ(core.retire(1), std::nullopt);
+  EXPECT_EQ(core.min_blocking(), std::nullopt);
+  EXPECT_EQ(core.phase(0), GatePhase::kPending);
 }
 
 // --------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 // Equivalence suite for KV-cached incremental decode: the cached path must
 // be *bit-identical* to full recompute for greedy and beam search across all
 // three backends (FP32 reference, INT8 quantized, accelerator simulator) and
-// through BatchRunner at several thread counts. Also pins the satellite
+// through the Scheduler farm at several card counts. Also pins the satellite
 // fixes: positional encoding past 512 and the non-mutating Timeline lookup.
 #include <gtest/gtest.h>
 
 #include "core/accelerator.hpp"
 #include "core/backend.hpp"
-#include "core/batch_runner.hpp"
 #include "nlp/synthetic.hpp"
 #include "quant/qtransformer.hpp"
 #include "reference/transformer.hpp"
+#include "serve/scheduler.hpp"
 #include "tensor/ops.hpp"
 
 namespace tfacc {
@@ -219,9 +219,9 @@ TEST(KvCacheAccelerator, CachedDecodeCostsFewerModeledCycles) {
   EXPECT_LT(cached.total_cycles(), naive.total_cycles());
 }
 
-// --- BatchRunner --------------------------------------------------------------
+// --- Scheduler farm -----------------------------------------------------------
 
-TEST(KvCacheBatchRunner, CachedFarmMatchesFullRecomputeAtAllThreadCounts) {
+TEST(KvCacheFarm, CachedFarmMatchesFullRecomputeAtAllThreadCounts) {
   SyntheticTranslationTask task(24, 5, 7);
   Rng rng(51);
   const TransformerWeights weights =
@@ -231,19 +231,21 @@ TEST(KvCacheBatchRunner, CachedFarmMatchesFullRecomputeAtAllThreadCounts) {
   for (int i = 0; i < 7; ++i) sources.push_back(task.sample(rng).source);
   const int max_len = task.max_len() + 2;
 
-  BatchConfig naive_cfg;
-  naive_cfg.num_cards = 1;
+  // Accelerator backend, greedy, one sentence per card.
+  SchedulerConfig naive_cfg;
+  naive_cfg.slots_per_card = 1;
   naive_cfg.max_len = max_len;
   naive_cfg.decode = DecodeMode::kFullRecompute;
-  BatchRunner naive(weights, calib, naive_cfg);
-  const BatchReport baseline = naive.run(sources);
+  Scheduler naive(weights, calib, naive_cfg);
+  const ScheduleReport baseline = naive.run(sources);
 
   for (const int cards : {1, 2, 4}) {
-    BatchConfig cfg;
+    SchedulerConfig cfg;
     cfg.num_cards = cards;
+    cfg.slots_per_card = 1;
     cfg.max_len = max_len;
-    BatchRunner runner(weights, calib, cfg);
-    const BatchReport rep = runner.run(sources);
+    Scheduler farm(weights, calib, cfg);
+    const ScheduleReport rep = farm.run(sources);
     ASSERT_EQ(rep.outputs.size(), baseline.outputs.size());
     for (std::size_t i = 0; i < rep.outputs.size(); ++i)
       EXPECT_EQ(rep.outputs[i], baseline.outputs[i])

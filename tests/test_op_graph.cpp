@@ -109,25 +109,23 @@ TEST(ScheduleAudit, FfnFlowIsLegal) {
 }
 
 TEST(ScheduleAudit, ShimCatchesATamperedSchedule) {
-  // audit_schedule() is a compat shim over verify_schedule() since PR 7;
-  // tampering must still surface through the string API (per-code typed
-  // coverage lives in tests/test_verifier.cpp).
+  // Per-code typed coverage lives in tests/test_verifier.cpp.
   Timeline tl;
   ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
-  ASSERT_EQ(audit_schedule(run.graph, run.stats), "");
+  ASSERT_TRUE(verify_schedule(run.graph, run.stats).ok());
   // Drag the last op to start before its deps finished.
   Interval& last = run.stats.intervals.back();
   const Cycle len = last.duration();
   last.start = 0;
   last.end = len;
   run.stats.result_ready.back() = last.end;
-  EXPECT_NE(audit_schedule(run.graph, run.stats), "");
+  EXPECT_FALSE(verify_schedule(run.graph, run.stats).ok());
 }
 
 TEST(ScheduleAudit, ShimCatchesAnIgnoredColdWeightLoad) {
   Timeline tl;
   ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
-  ASSERT_EQ(audit_schedule(run.graph, run.stats), "");
+  ASSERT_TRUE(verify_schedule(run.graph, run.stats).ok());
   // The first SA op has no deps and static weights; sliding it to cycle 0
   // creates no dep violation or overlap, but skips the run's initial
   // 64-cycle weight load — the audit must still object.
@@ -137,7 +135,7 @@ TEST(ScheduleAudit, ShimCatchesAnIgnoredColdWeightLoad) {
   first.start = 0;
   first.end = len;
   run.stats.result_ready.front() = first.end;
-  EXPECT_NE(audit_schedule(run.graph, run.stats), "");
+  EXPECT_FALSE(verify_schedule(run.graph, run.stats).ok());
 }
 
 // --- Degenerate one-slot identity --------------------------------------------

@@ -4,7 +4,7 @@
 // Pinned here:
 //  * chunk_prefill coverage math (row partition, one-time K/V projection on
 //    the first MHA chunk, chunk_rows=1 and chunk-larger-than-sentence edges),
-//  * legality (audit_schedule) of standalone chunk ledgers and mixed
+//  * legality (verify_schedule) of standalone chunk ledgers and mixed
 //    prefill/decode lane ledgers across shapes × issue policies,
 //  * the full-size-chunk ≡ schedule_mha degenerate pin,
 //  * bit-identity of packed vs eager-encode Scheduler outputs on all three

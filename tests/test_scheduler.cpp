@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "common/check.hpp"
 #include "core/backend.hpp"
@@ -156,6 +157,18 @@ TEST(SchedulerConfig, RejectsBadArguments) {
   EXPECT_THROW(cfg.validate(), CheckError);
   cfg.slots_per_card = 4;
   EXPECT_NO_THROW(cfg.validate());
+  // Greedy decode still needs one slot.
+  cfg.beam_size = 0;
+  cfg.slots_per_card = 0;
+  EXPECT_THROW(cfg.validate(), CheckError);
+  // The INT8 backends calibrate every card at construction.
+  Rng rng(90);
+  const TransformerWeights weights =
+      TransformerWeights::random(hw_config(), 20, rng);
+  for (const ServeBackend backend :
+       {ServeBackend::kAccelerator, ServeBackend::kQuantized})
+    EXPECT_THROW(Scheduler(weights, {}, base_config(backend, 1, 1)),
+                 CheckError);
 }
 
 // --- decode_step_batch row-equivalence (all three backends) -------------------
@@ -352,6 +365,9 @@ TEST(SchedulerReference, BeamBitIdenticalToSerial) {
 
 // --- Adversarial shapes -------------------------------------------------------
 
+// More cards than sentences: exactly the surplus cards find the queue empty
+// and stay idle — one sentence on an 8-card farm, and two one-slot
+// sentences on a 6-card farm (the gate spreads them over two cards).
 TEST(SchedulerShapes, OneSentenceOnEightCardFarm) {
   Rng rng(101);
   const TransformerWeights weights =
@@ -359,23 +375,33 @@ TEST(SchedulerShapes, OneSentenceOnEightCardFarm) {
   Transformer model(weights);
   const auto qt = QuantizedTransformer::build(model, calib_sources(), 12,
                                               SoftmaxImpl::kHardware);
+  const std::vector<TokenSeq> sources = {{3, 4, 5, 6}, {7}};
   const auto serial = serial_greedy(model, ServeBackend::kAccelerator, &qt,
-                                    {{3, 4, 5, 6}}, 12);
+                                    sources, 12);
 
-  Scheduler sched(weights, calib_sources(),
-                  base_config(ServeBackend::kAccelerator, 8, 4));
-  const ScheduleReport rep = sched.run({{3, 4, 5, 6}});
-  ASSERT_EQ(rep.outputs.size(), 1u);
-  EXPECT_EQ(rep.outputs[0], serial[0]);
-  ASSERT_EQ(rep.per_card.size(), 8u);
-  // Exactly one card decoded it; the other seven found the queue empty.
-  int busy = 0, sentences = 0;
-  for (std::size_t c = 0; c < rep.per_card.size(); ++c) {
-    if (rep.per_card[c].total_cycles() > 0) ++busy;
-    sentences += rep.per_card_steps[c].sentences;
+  struct Farm {
+    std::size_t sentences;
+    int cards, slots;
+  };
+  for (const Farm farm : {Farm{1, 8, 4}, Farm{2, 6, 1}}) {
+    Scheduler sched(weights, calib_sources(),
+                    base_config(ServeBackend::kAccelerator, farm.cards,
+                                farm.slots));
+    const std::vector<TokenSeq> batch(sources.begin(),
+                                      sources.begin() + farm.sentences);
+    const ScheduleReport rep = sched.run(batch);
+    ASSERT_EQ(rep.outputs.size(), farm.sentences);
+    for (std::size_t i = 0; i < farm.sentences; ++i)
+      EXPECT_EQ(rep.outputs[i], serial[i]) << farm.cards << " cards";
+    ASSERT_EQ(rep.per_card.size(), static_cast<std::size_t>(farm.cards));
+    std::size_t busy = 0, sentences = 0;
+    for (std::size_t c = 0; c < rep.per_card.size(); ++c) {
+      if (rep.per_card[c].total_cycles() > 0) ++busy;
+      sentences += rep.per_card_steps[c].sentences;
+    }
+    EXPECT_EQ(busy, farm.sentences) << farm.cards << " cards";
+    EXPECT_EQ(sentences, farm.sentences) << farm.cards << " cards";
   }
-  EXPECT_EQ(busy, 1);
-  EXPECT_EQ(sentences, 1);
 }
 
 TEST(SchedulerShapes, MaxLenOne) {
@@ -519,7 +545,9 @@ TEST(SchedulerStats, RunsAreReproducibleIncludingPerCardLedgers) {
 
 // More cards shrink the modeled makespan: the admission gate hands each
 // request to the card with the smallest virtual clock, so a farm twice the
-// size finishes the same queue in about half the busiest-card cycles.
+// size finishes the same queue in about half the busiest-card cycles. Only
+// the distribution of the work changes: outputs, ResBlock invocations and
+// summed cycles match the one-card farm exactly.
 TEST(SchedulerStats, ModeledThroughputScalesWithCards) {
   SyntheticTranslationTask task(24, 5, 8);
   Rng rng(114);
@@ -529,6 +557,15 @@ TEST(SchedulerStats, ModeledThroughputScalesWithCards) {
   std::vector<TokenSeq> sources;
   for (int i = 0; i < 16; ++i) sources.push_back(task.sample(src_rng).source);
 
+  const auto runs = [](const ScheduleReport& rep) {
+    long mha = 0, ffn = 0;
+    for (const AcceleratorStats& s : rep.per_card) {
+      mha += s.mha_runs;
+      ffn += s.ffn_runs;
+    }
+    return std::make_pair(mha, ffn);
+  };
+  ScheduleReport one_card;
   double prev = 0.0;
   for (const int cards : {1, 2, 4}) {
     Scheduler sched(weights, calib_sources(),
@@ -536,6 +573,14 @@ TEST(SchedulerStats, ModeledThroughputScalesWithCards) {
     const ScheduleReport rep = sched.run(sources);
     EXPECT_GT(rep.modeled_sentences_per_second(), prev) << cards << " cards";
     prev = rep.modeled_sentences_per_second();
+    if (cards == 1) {
+      one_card = rep;
+      continue;
+    }
+    EXPECT_EQ(rep.outputs, one_card.outputs) << cards << " cards";
+    EXPECT_EQ(runs(rep), runs(one_card)) << cards << " cards";
+    EXPECT_EQ(rep.total_cycles(), one_card.total_cycles())
+        << cards << " cards";
   }
 }
 

@@ -1,8 +1,7 @@
 // Tests for the typed schedule verifier (PR 7): one tampered-schedule test
 // per diagnostic code asserting the EXACT code fires, positive sweeps over
 // every builder, canonical-hash determinism/sensitivity, the structured
-// Diagnostic fields, the audit_schedule() compat shim, and the
-// AcceleratorConfig::verify_schedules hook.
+// Diagnostic fields, and the AcceleratorConfig::verify_schedules hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -307,18 +306,6 @@ TEST(Diagnostics, StableCodeNamesNeverChange) {
   EXPECT_STREQ(diag_code_name(DiagCode::kProgramOrder), "SCHED-ORDER");
   EXPECT_STREQ(diag_code_name(DiagCode::kLaneInterleave), "SCHED-LANE");
   EXPECT_STREQ(diag_code_name(DiagCode::kHashMismatch), "SCHED-HASH");
-}
-
-// --- audit_schedule() compat shim --------------------------------------------
-
-TEST(AuditShim, EmptyOnLegalFirstDiagnosticOnTampered) {
-  Timeline tl;
-  ScheduledRun run = schedule_ffn(accel_config(), tl, 8, 64, 256);
-  EXPECT_EQ(audit_schedule(run.graph, run.stats), "");
-  slide_op(run.graph, run.stats, run.stats.intervals.size() - 1, 0);
-  const VerifyResult res = verify_schedule(run.graph, run.stats);
-  ASSERT_FALSE(res.diags.empty());
-  EXPECT_EQ(audit_schedule(run.graph, run.stats), res.diags.front().message);
 }
 
 // --- The verify_schedules accelerator knob -----------------------------------
