@@ -23,7 +23,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "core/full_model.hpp"
 #include "json.hpp"
 #include "nlp/synthetic.hpp"
 #include "reference/weights.hpp"
@@ -186,41 +185,6 @@ int main(int argc, char** argv) {
       100.0 * one_row_util, 100.0 * packed_util,
       outputs_identical ? "bit-identical" : "DIVERGED",
       packed_wins ? "PASS" : "FAIL");
-
-  bench::title("KV cache vs full recompute (1 card, same sentences)");
-  double wall[2] = {0.0, 0.0};
-  Cycle cycles[2] = {0, 0};
-  for (const DecodeMode mode :
-       {DecodeMode::kKvCache, DecodeMode::kFullRecompute}) {
-    SchedulerConfig sc = farm_config(1, 1, max_len);
-    sc.decode = mode;
-    Scheduler farm(weights, calib, sc);
-    const ScheduleReport rep = farm.run(sources);
-    const int i = mode == DecodeMode::kKvCache ? 0 : 1;
-    wall[i] = rep.wall_seconds;
-    cycles[i] = rep.makespan_cycles();
-  }
-  // Modeled ratio of the analytic scheduler at this workload's shape, for
-  // comparison with the measured card cycles (outputs are bit-identical in
-  // both modes; only the work to produce them changes).
-  const FullModelScheduler sched;
-  const double modeled_ratio =
-      static_cast<double>(
-          sched.greedy_decode(cfg, 8, max_len, false).compute_cycles) /
-      sched.greedy_decode(cfg, 8, max_len, true).compute_cycles;
-  std::printf(
-      "%-22s | %9s %14s\n", "decode mode", "wall s", "card cycles");
-  bench::rule(50);
-  std::printf("%-22s | %9.3f %14lld\n", "KV cache", wall[0],
-              static_cast<long long>(cycles[0]));
-  std::printf("%-22s | %9.3f %14lld\n", "full recompute", wall[1],
-              static_cast<long long>(cycles[1]));
-  std::printf(
-      "wall speedup %.2fx, simulated-cycle ratio %.2fx, modeled kv_cache "
-      "ratio %.2fx\n",
-      wall[0] > 0 ? wall[1] / wall[0] : 0.0,
-      cycles[0] > 0 ? static_cast<double>(cycles[1]) / cycles[0] : 0.0,
-      modeled_ratio);
 
   json.key("gates").begin_object();
   json.key("card_speedup_at_8").value(card_speedup);

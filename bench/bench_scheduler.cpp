@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   std::vector<TokenSeq> baseline_outputs;
   double base_modeled = 0.0, best_modeled = 0.0;
   double base_util = 0.0, best_util = 0.0;
-  ScheduleReport fused16;  // the 16-slot point doubles as fused_step's side
+  ScheduleReport burst16;  // the 16-slot point doubles as the burst point
   for (const int slots : {1, 2, 4, 8, 16}) {
     SchedulerConfig sc;
     sc.num_cards = 1;
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     sc.accel.verify_schedules = true;
     Scheduler sched(weights, calib, sc);
     const ScheduleReport rep = sched.run(sources);
-    if (slots == 16) fused16 = rep;
+    if (slots == 16) burst16 = rep;
     if (slots == 1) {
       baseline_outputs = rep.outputs;
       base_modeled = rep.modeled_sentences_per_second();
@@ -127,69 +127,6 @@ int main(int argc, char** argv) {
   }
   json.end_array();
 
-  // The PR 5 fused decode-step ledger vs the per-sublayer ledgers it
-  // replaces (ablation knob accel.fuse_decode_step). The fused side IS the
-  // sweep's 16-slot point (fuse_decode_step defaults to true), so only the
-  // unfused ablation needs a fresh run. Both sides' metrics are gated by
-  // perf_gate.py.
-  bench::title(
-      "Fused decode-step ledger vs per-sublayer runs (16 slots, 1 card)");
-  std::printf("%10s | %14s %14s %8s %14s\n", "step model", "makespan cyc",
-              "modeled sent/s", "SA util", "boundary stall");
-  bench::rule(70);
-  json.key("fused_step").begin_object();
-  json.key("slots").value(16);
-  SchedulerConfig unfused_cfg;
-  unfused_cfg.num_cards = 1;
-  unfused_cfg.max_len = max_len;
-  unfused_cfg.slots_per_card = 16;
-  unfused_cfg.accel.fuse_decode_step = false;
-  unfused_cfg.accel.verify_schedules = true;
-  Scheduler unfused_sched(weights, calib, unfused_cfg);
-  const ScheduleReport unfused16 = unfused_sched.run(sources);
-  // fused16's outputs were already checked against the one-row outputs in
-  // the sweep; matching them here proves the ablation pair bit-identical.
-  const bool fused_identical = unfused16.outputs == fused16.outputs;
-  const ScheduleReport* const reps[] = {&unfused16, &fused16};
-  for (const ScheduleReport* rep : reps) {
-    const bool fused = rep == &fused16;
-    std::printf("%10s | %14lld %14.1f %7.1f%% %14lld\n",
-                fused ? "fused" : "per-run",
-                static_cast<long long>(rep->makespan_cycles()),
-                rep->modeled_sentences_per_second(),
-                100.0 * rep->sa_utilization(),
-                static_cast<long long>(rep->boundary_stall_cycles()));
-    json.key(fused ? "fused" : "unfused").begin_object();
-    json.key("fused_steps").value(rep->fused_steps());
-    json.key("makespan_cycles")
-        .value(static_cast<long long>(rep->makespan_cycles()));
-    json.key("modeled_sentences_per_second")
-        .value(rep->modeled_sentences_per_second());
-    json.key("sa_utilization").value(rep->sa_utilization());
-    bench::write_module_breakdown(
-        json, static_cast<long long>(rep->total_cycles()),
-        static_cast<long long>(rep->sa_busy_cycles()),
-        static_cast<long long>(rep->softmax_busy_cycles()),
-        static_cast<long long>(rep->layernorm_busy_cycles()),
-        static_cast<long long>(rep->softmax_stall_cycles()),
-        static_cast<long long>(rep->boundary_stall_cycles()),
-        static_cast<long long>(rep->prefill_stall_cycles()));
-    json.end_object();
-  }
-  json.end_object();
-  const bool fused_wins =
-      fused_identical &&
-      fused16.sa_utilization() > unfused16.sa_utilization() &&
-      fused16.boundary_stall_cycles() < unfused16.boundary_stall_cycles();
-  std::printf(
-      "fused vs per-run: boundary stall %lld -> %lld cycles, SA utilization "
-      "%.1f%% -> %.1f%%, outputs %s (gate: %s)\n",
-      static_cast<long long>(unfused16.boundary_stall_cycles()),
-      static_cast<long long>(fused16.boundary_stall_cycles()),
-      100.0 * unfused16.sa_utilization(), 100.0 * fused16.sa_utilization(),
-      fused_identical ? "bit-identical" : "DIVERGED",
-      fused_wins ? "PASS" : "FAIL");
-
   bench::title("Beam search through the packed scheduler (beam 4)");
   SchedulerConfig beam_cfg;
   beam_cfg.num_cards = 1;
@@ -221,26 +158,23 @@ int main(int argc, char** argv) {
       static_cast<long long>(beam_rep.prefill_stall_cycles()));
   json.end_object();
 
-  // PR 6: chunked prefill packing under an admission burst. Three points,
-  // all 16 slots on 1 card: the packed step loop with every request present
-  // at t=0 (the hardest admission pattern — every slot wants its encoder
-  // pass at once), the same packed loop with staggered Poisson-ish arrivals
-  // (deterministic LCG gaps, mean `arrival_mean_gap_cycles`), and the eager
-  // ablation (pack_prefill=false, PR 5's admission model) under the burst.
-  // Gates: the packed burst keeps SA utilization above 63%, its makespan is
-  // insensitive to the admission pattern (<= 2% delta vs staggered), and
-  // outputs stay bit-identical across all three.
+  // Chunked prefill packing under an admission burst. Two points,
+  // both 16 slots on 1 card: every request present at t=0 (the hardest
+  // admission pattern — every slot wants its encoder pass at once), and
+  // staggered Poisson-ish arrivals (deterministic LCG gaps, mean
+  // `arrival_mean_gap_cycles`). Gates: the burst keeps SA utilization above
+  // 63%, its makespan is insensitive to the admission pattern (<= 2% delta
+  // vs staggered), and outputs stay bit-identical across both.
   bench::title("Admission burst vs staggered arrivals (16 slots, 1 card)");
   // Mean gap sized so the whole arrival window spans a handful of packed
   // steps: the point is admission *pattern* sensitivity (burst vs trickle),
   // not load sensitivity — a window comparable to the makespan would starve
   // the slots and measure underfill, not admission handling.
   const Cycle arrival_mean_gap = 100;
-  // The makespan gate is one-sided: the burst (the stressor the eager-encode
-  // model buckled under — every slot demanding its encoder pass at once)
-  // must cost at most 2% over the staggered trickle. The trickle itself runs
-  // a few percent longer from cold-start slot underfill (early steps pack
-  // fewer live rows), which hits the eager model identically and is not an
+  // The makespan gate is one-sided: the burst (every slot demanding its
+  // encoder pass at once) must cost at most 2% over the staggered trickle.
+  // The trickle itself runs a few percent longer from cold-start slot
+  // underfill (early steps pack fewer live rows), which is not an
   // admission-handling effect.
   std::vector<Cycle> staggered_arrivals(sources.size());
   std::uint64_t lcg = 12345;
@@ -257,19 +191,12 @@ int main(int argc, char** argv) {
   burst_cfg.max_len = max_len;
   burst_cfg.slots_per_card = 16;
   burst_cfg.accel.verify_schedules = true;
-  Scheduler packed_sched(weights, calib, burst_cfg);
-  // The packed burst point IS the sweep's 16-slot run (pack_prefill defaults
-  // to true and run(sources) means all-arrivals-0), so only the staggered
-  // and eager sides need fresh runs.
-  const ScheduleReport& packed_burst = fused16;
-  const ScheduleReport packed_staggered =
-      packed_sched.run(sources, staggered_arrivals);
-  SchedulerConfig eager_cfg = burst_cfg;
-  eager_cfg.accel.pack_prefill = false;
-  Scheduler eager_sched(weights, calib, eager_cfg);
-  const ScheduleReport eager_burst = eager_sched.run(sources);
-  const bool burst_identical = packed_staggered.outputs == fused16.outputs &&
-                               eager_burst.outputs == fused16.outputs;
+  Scheduler staggered_sched(weights, calib, burst_cfg);
+  // The burst point IS the sweep's 16-slot run (run(sources) means
+  // all-arrivals-0), so only the staggered side needs a fresh run.
+  const ScheduleReport staggered =
+      staggered_sched.run(sources, staggered_arrivals);
+  const bool burst_identical = staggered.outputs == burst16.outputs;
 
   std::printf("%16s | %14s %14s %8s %14s %8s\n", "arrivals", "makespan cyc",
               "modeled sent/s", "SA util", "prefill stall", "chunks");
@@ -283,10 +210,7 @@ int main(int argc, char** argv) {
   const struct {
     const char* name;
     const ScheduleReport* rep;
-    bool pack;
-  } burst_points[] = {{"burst", &packed_burst, true},
-                      {"staggered", &packed_staggered, true},
-                      {"eager_burst", &eager_burst, false}};
+  } burst_points[] = {{"burst", &burst16}, {"staggered", &staggered}};
   for (const auto& p : burst_points) {
     std::printf("%16s | %14lld %14.1f %7.1f%% %14lld %8ld\n", p.name,
                 static_cast<long long>(p.rep->makespan_cycles()),
@@ -295,7 +219,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(p.rep->prefill_stall_cycles()),
                 p.rep->prefill_chunks());
     json.key(p.name).begin_object();
-    json.key("pack_prefill").value(p.pack);
     json.key("prefill_chunks").value(p.rep->prefill_chunks());
     json.key("makespan_cycles")
         .value(static_cast<long long>(p.rep->makespan_cycles()));
@@ -312,15 +235,14 @@ int main(int argc, char** argv) {
         static_cast<long long>(p.rep->prefill_stall_cycles()));
     json.end_object();
   }
-  const double burst_util = packed_burst.sa_utilization();
+  const double burst_util = burst16.sa_utilization();
   const double burst_over_staggered =
-      packed_staggered.makespan_cycles() <= 0
+      staggered.makespan_cycles() <= 0
           ? 1.0
           : std::max(0.0,
-                     static_cast<double>(packed_burst.makespan_cycles() -
-                                         packed_staggered.makespan_cycles()) /
-                         static_cast<double>(
-                             packed_staggered.makespan_cycles()));
+                     static_cast<double>(burst16.makespan_cycles() -
+                                         staggered.makespan_cycles()) /
+                         static_cast<double>(staggered.makespan_cycles()));
   json.key("burst_over_staggered_makespan").value(burst_over_staggered);
   json.key("outputs_bit_identical").value(burst_identical);
   json.end_object();
@@ -344,5 +266,5 @@ int main(int argc, char** argv) {
       "results written to BENCH_scheduler.json\n",
       speedup, 100.0 * base_util, 100.0 * best_util,
       packed_wins ? "PASS" : "FAIL");
-  return packed_wins && fused_wins && burst_wins ? 0 : 1;
+  return packed_wins && burst_wins ? 0 : 1;
 }

@@ -54,7 +54,7 @@ WALLCLOCK_METRICS = {"wallclock_speedup_vs_scalar",
 GATED_METRICS = {"sa_utilization",
                  "modeled_sentences_per_second"} | WALLCLOCK_METRICS
 WORKLOAD_KEYS = {"sentences", "max_len", "slots", "slots_per_card", "cards",
-                 "beam_size", "bench", "pack_prefill", "prefill_chunk_rows",
+                 "beam_size", "bench", "prefill_chunk_rows",
                  "arrival_mean_gap_cycles", "kernel", "d_model", "backend",
                  "repeats"}
 

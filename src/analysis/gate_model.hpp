@@ -6,7 +6,8 @@
 // interleaving deadlocks, that no grant is lost or duplicated. TSan can
 // only sample interleavings the host scheduler happens to produce. This
 // module closes that gap with a small-scope exhaustive search: a model of
-// the card step machine (Scheduler::CardRun, pack mode, burst arrivals)
+// the card step machine (Scheduler::CardRun, burst arrivals — CardRun has
+// one admission order, so this covers every order the serve loop ships)
 // and of the sharded RequestQueue, driving the shipped GateCore
 // (serve/gate_core.hpp) — reserve / try_consume / release / publish /
 // retire and the min-blocking-pair scan run as compiled for the serving

@@ -187,10 +187,11 @@ FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
                               const std::vector<FusedLane>& lanes,
                               IssuePolicy policy);
 
-/// Standalone ledger of one prefill chunk (pack_prefill with
-/// fuse_decode_step off): the chunk alone, issued under the cached-flow
-/// policy. A full-size kMhaPrefill chunk scheduled in program order builds
-/// exactly schedule_mha's graph (pinned in tests/test_prefill_pack.cpp).
+/// Standalone ledger of one prefill chunk: the chunk alone, issued under
+/// the cached-flow policy. The serve loop always splices chunks into mixed
+/// step ledgers; this form is what schedule_lint audits chunk by chunk, and
+/// a full-size kMhaPrefill chunk scheduled in program order builds exactly
+/// schedule_mha's graph (pinned in tests/test_prefill_pack.cpp).
 ScheduledRun schedule_prefill(const AcceleratorConfig& cfg, Timeline& tl,
                               const SublayerPlan& chunk);
 

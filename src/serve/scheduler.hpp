@@ -48,7 +48,6 @@ struct SchedulerConfig {
   /// hypotheses become sibling slots of the packed step).
   int beam_size = 0;
   float length_penalty = 0.6f;  ///< GNMT alpha (beam mode)
-  DecodeMode decode = DecodeMode::kKvCache;
   ServeBackend backend = ServeBackend::kAccelerator;
   AcceleratorConfig accel{};
   SoftmaxImpl softmax = SoftmaxImpl::kHardware;
@@ -70,8 +69,7 @@ struct CardStepStats {
   long steps = 0;        ///< packed step-loop iterations (>= 1 decode row)
   long packed_rows = 0;  ///< Σ hypothesis rows over all steps
   int sentences = 0;     ///< sentences this card decoded
-  /// Prefill (encoder) chunks this card spliced into its step ledgers
-  /// (0 with eager encode or full-recompute decode).
+  /// Prefill (encoder) chunks this card spliced into its step ledgers.
   long prefill_chunks = 0;
   /// rows_hist[k] = steps that packed exactly k rows (k in [1, slots]).
   std::vector<long> rows_hist;
@@ -116,11 +114,11 @@ struct ScheduleReport {
   /// is meant to shrink.
   Cycle boundary_stall_cycles() const;
   /// Packed decode steps that were timed as one fused cross-sublayer ledger
-  /// (0 when fuse_decode_step is off or the backend is functional-only).
+  /// (every one on the accelerator, 0 on the functional backends).
   long fused_steps() const;
   /// Σ cycles live decode rows waited on prefill (encoder) work across the
-  /// farm — mixed-step makespan deltas with pack_prefill, whole eager
-  /// encoder passes that found live decode slots without it.
+  /// farm: each mixed step ledger's makespan delta over a decode-only
+  /// rebuild.
   Cycle prefill_stall_cycles() const;
   /// Prefill chunks spliced into step ledgers across the farm.
   long prefill_chunks() const;

@@ -298,10 +298,12 @@ ModelConfig hw_config() {
   return cfg;
 }
 
-// The acceptance criterion at serve level: fusing the packed decode step
-// changes no output bit on the accelerator backend, removes the
-// per-sublayer cold loads (fewer makespan cycles, smaller boundary stall)
-// and lifts SA utilization.
+// The acceptance criterion at serve level: the serve loop's fused step
+// ledgers change no output bit against serial per-sentence decode on the
+// accelerator backend without a fuser — one cold per-sublayer ledger per
+// ResBlock run — and remove the per-sublayer cold loads (fewer cycles,
+// smaller boundary stall, higher SA utilization). One slot keeps the
+// decode rows one per step on both sides, so packing plays no part.
 TEST(FusedServe, BitIdenticalAndFasterThanPerSublayerLedgers) {
   SyntheticTranslationTask task(24, 5, 8);
   Rng rng(121);
@@ -312,29 +314,31 @@ TEST(FusedServe, BitIdenticalAndFasterThanPerSublayerLedgers) {
   for (int i = 0; i < 12; ++i) sources.push_back(task.sample(src_rng).source);
   const std::vector<TokenSeq> calib = {{3, 4, 5}, {6, 7}};
 
-  SchedulerConfig fused_cfg;
-  fused_cfg.backend = ServeBackend::kAccelerator;
-  fused_cfg.num_cards = 1;
-  fused_cfg.slots_per_card = 8;
-  fused_cfg.max_len = 12;
-  SchedulerConfig split_cfg = fused_cfg;
-  split_cfg.accel.fuse_decode_step = false;
-
-  Scheduler fused(weights, calib, fused_cfg);
-  Scheduler split(weights, calib, split_cfg);
+  SchedulerConfig cfg;
+  cfg.backend = ServeBackend::kAccelerator;
+  cfg.num_cards = 1;
+  cfg.slots_per_card = 1;
+  cfg.max_len = 12;
+  Scheduler fused(weights, calib, cfg);
   const ScheduleReport rf = fused.run(sources);
-  const ScheduleReport rs = split.run(sources);
 
-  EXPECT_EQ(rf.outputs, rs.outputs);  // timing model only, data untouched
+  Transformer model(weights);
+  const QuantizedTransformer qt =
+      QuantizedTransformer::build(model, calib, cfg.max_len, cfg.softmax);
+  const Accelerator acc(cfg.accel);
+  AcceleratorStats split;
+  model.set_backend(accelerator_backend(qt, acc, &split));
+  for (std::size_t i = 0; i < sources.size(); ++i)
+    EXPECT_EQ(rf.outputs[i], model.translate_greedy(sources[i], cfg.max_len))
+        << "sentence " << i;  // timing model only, data untouched
+
   EXPECT_GT(rf.fused_steps(), 0l);
-  EXPECT_EQ(rs.fused_steps(), 0l);
-  EXPECT_LT(rf.makespan_cycles(), rs.makespan_cycles());
-  EXPECT_LT(rf.boundary_stall_cycles(), rs.boundary_stall_cycles());
-  EXPECT_GT(rf.sa_utilization(), rs.sa_utilization());
-  EXPECT_GT(rf.modeled_sentences_per_second(),
-            rs.modeled_sentences_per_second());
+  EXPECT_EQ(split.fused_steps, 0l);
+  EXPECT_LT(rf.makespan_cycles(), split.total_cycles());
+  EXPECT_LT(rf.boundary_stall_cycles(), split.boundary_stall_cycles);
+  EXPECT_GT(rf.sa_utilization(), split.sa_utilization());
   // SA work is identical — only boundary idle disappears.
-  EXPECT_EQ(rf.sa_busy_cycles(), rs.sa_busy_cycles());
+  EXPECT_EQ(rf.sa_busy_cycles(), split.sa_busy_cycles);
 }
 
 TEST(FusedServe, RunsAreReproducible) {

@@ -7,16 +7,17 @@
 //  * legality (verify_schedule) of standalone chunk ledgers and mixed
 //    prefill/decode lane ledgers across shapes × issue policies,
 //  * the full-size-chunk ≡ schedule_mha degenerate pin,
-//  * bit-identity of packed vs eager-encode Scheduler outputs on all three
-//    backends (greedy and beam, burst and staggered arrivals),
+//  * bit-identity of the packed Scheduler's outputs with serial
+//    per-sentence decode on all three backends (greedy and beam, burst and
+//    staggered arrivals, any chunk size),
 //  * determinism of the simulated-time admission order under bursts
 //    (per-card cycle ledgers reproduce exactly),
-//  * the prefill-stall attribution (eager admission charges it, packing
-//    shrinks it) and the prefill-only-queue guard (steps with zero decode
-//    rows run prefill lanes without counting as packed steps),
-//  * config validation of the new knobs and of Scheduler::run arrivals.
+//  * the prefill-only-queue guard (steps with zero decode rows run prefill
+//    lanes without counting as packed steps),
+//  * config validation of the chunk size and of Scheduler::run arrivals.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "analysis/verifier.hpp"
@@ -72,15 +73,42 @@ std::vector<TokenSeq> ragged_sources() {
 std::vector<TokenSeq> calib_sources() { return {{3, 4, 5}, {6, 7}}; }
 
 SchedulerConfig serve_config(ServeBackend backend, int cards, int slots,
-                             bool pack, int chunk_rows = 16) {
+                             int chunk_rows = 16) {
   SchedulerConfig cfg;
   cfg.backend = backend;
   cfg.num_cards = cards;
   cfg.slots_per_card = slots;
   cfg.max_len = 12;
-  cfg.accel.pack_prefill = pack;
   cfg.accel.prefill_chunk_rows = chunk_rows;
   return cfg;
+}
+
+// Serial per-sentence decode (greedy, or beam when cfg.beam_size >= 1) on
+// the backend the scheduler installs for `cfg`, with the same calibration —
+// the bit-identity baseline.
+std::vector<TokenSeq> serial_outputs(const TransformerWeights& weights,
+                                     const std::vector<TokenSeq>& calib,
+                                     const SchedulerConfig& cfg,
+                                     const std::vector<TokenSeq>& sources) {
+  Transformer model(weights);
+  std::optional<QuantizedTransformer> qt;
+  if (cfg.backend != ServeBackend::kReference)
+    qt.emplace(QuantizedTransformer::build(model, calib, cfg.max_len,
+                                           cfg.softmax));
+  const Accelerator acc(cfg.accel);
+  if (cfg.backend == ServeBackend::kQuantized)
+    model.set_backend(qt->backend());
+  if (cfg.backend == ServeBackend::kAccelerator)
+    model.set_backend(accelerator_backend(*qt, acc));
+  Transformer::BeamConfig beam;
+  beam.beam_size = cfg.beam_size;
+  beam.length_penalty = cfg.length_penalty;
+  std::vector<TokenSeq> out;
+  for (const TokenSeq& src : sources)
+    out.push_back(cfg.beam_size < 1
+                      ? model.translate_greedy(src, cfg.max_len)
+                      : model.translate_beam(src, cfg.max_len, beam));
+  return out;
 }
 
 AcceleratorConfig accel_config(bool interleave = true) {
@@ -261,7 +289,7 @@ std::vector<Cycle> staggered_arrivals(std::size_t n, Cycle gap) {
   return arrivals;
 }
 
-TEST(PrefillPackServe, PackedBitIdenticalToEagerOnAllBackends) {
+TEST(PrefillPackServe, PackedBitIdenticalToSerialOnAllBackends) {
   for (const ServeBackend backend :
        {ServeBackend::kReference, ServeBackend::kQuantized,
         ServeBackend::kAccelerator}) {
@@ -272,23 +300,17 @@ TEST(PrefillPackServe, PackedBitIdenticalToEagerOnAllBackends) {
     const auto calib = backend == ServeBackend::kReference
                            ? std::vector<TokenSeq>{}
                            : calib_sources();
-    std::vector<TokenSeq> eager_outputs;
-    for (const bool pack : {false, true})
-      for (const int chunk_rows : {1, 4, 64}) {
-        Scheduler sched(weights, calib,
-                        serve_config(backend, 2, 4, pack, chunk_rows));
-        const ScheduleReport rep = sched.run(ragged_sources());
-        if (eager_outputs.empty())
-          eager_outputs = rep.outputs;
-        else
-          EXPECT_EQ(rep.outputs, eager_outputs)
-              << "backend=" << static_cast<int>(backend) << " pack=" << pack
-              << " chunk_rows=" << chunk_rows;
-        if (pack)
-          EXPECT_GT(rep.prefill_chunks(), 0);
-        else
-          EXPECT_EQ(rep.prefill_chunks(), 0);
-      }
+    const std::vector<TokenSeq> serial = serial_outputs(
+        weights, calib, serve_config(backend, 2, 4), ragged_sources());
+    for (const int chunk_rows : {1, 4, 64}) {
+      Scheduler sched(weights, calib,
+                      serve_config(backend, 2, 4, chunk_rows));
+      const ScheduleReport rep = sched.run(ragged_sources());
+      EXPECT_EQ(rep.outputs, serial)
+          << "backend=" << static_cast<int>(backend)
+          << " chunk_rows=" << chunk_rows;
+      EXPECT_GT(rep.prefill_chunks(), 0);
+    }
   }
 }
 
@@ -296,18 +318,15 @@ TEST(PrefillPackServe, BeamAndStaggeredArrivalsKeepOutputs) {
   Rng rng(172);
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
-  SchedulerConfig cfg = serve_config(ServeBackend::kAccelerator, 2, 8, true);
+  SchedulerConfig cfg = serve_config(ServeBackend::kAccelerator, 2, 8);
   cfg.beam_size = 2;
   Scheduler sched(weights, calib_sources(), cfg);
   const ScheduleReport burst = sched.run(ragged_sources());
   const ScheduleReport staggered = sched.run(
       ragged_sources(), staggered_arrivals(ragged_sources().size(), 700));
   EXPECT_EQ(burst.outputs, staggered.outputs);
-
-  SchedulerConfig eager_cfg = cfg;
-  eager_cfg.accel.pack_prefill = false;
-  Scheduler eager(weights, calib_sources(), eager_cfg);
-  EXPECT_EQ(eager.run(ragged_sources()).outputs, burst.outputs);
+  EXPECT_EQ(burst.outputs,
+            serial_outputs(weights, calib_sources(), cfg, ragged_sources()));
 }
 
 TEST(PrefillPackServe, BurstAdmissionOrderIsDeterministic) {
@@ -318,7 +337,7 @@ TEST(PrefillPackServe, BurstAdmissionOrderIsDeterministic) {
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
   Scheduler sched(weights, calib_sources(),
-                  serve_config(ServeBackend::kAccelerator, 4, 4, true, 4));
+                  serve_config(ServeBackend::kAccelerator, 4, 4, 4));
   const auto arrivals = staggered_arrivals(ragged_sources().size(), 300);
   for (const bool stagger : {false, true}) {
     const ScheduleReport first = stagger
@@ -352,45 +371,22 @@ TEST(PrefillPackServe, PrefillOnlyQueueRunsChunksWithoutPackedSteps) {
   Rng rng(174);
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
-  Scheduler packed(weights, calib_sources(),
-                   serve_config(ServeBackend::kAccelerator, 1, 4, true, 1));
+  const SchedulerConfig cfg = serve_config(ServeBackend::kAccelerator, 1, 4, 1);
+  Scheduler packed(weights, calib_sources(), cfg);
   const std::vector<TokenSeq> one = {{10, 3, 11, 4, 12, 5, 13}};
   const ScheduleReport rep = packed.run(one);
-
-  Scheduler eager(weights, calib_sources(),
-                  serve_config(ServeBackend::kAccelerator, 1, 4, false));
-  const ScheduleReport eager_rep = eager.run(one);
-  EXPECT_EQ(rep.outputs, eager_rep.outputs);
+  const TokenSeq serial = serial_outputs(weights, calib_sources(), cfg, one)[0];
+  ASSERT_EQ(rep.outputs[0], serial);
   // 7 source rows, 2 encoder layers, 1-row chunks: 28 prefill-only
   // iterations before the first decode row.
   EXPECT_EQ(rep.prefill_chunks(), 28);
-  EXPECT_EQ(rep.packed_steps(), eager_rep.packed_steps());
+  // Packed steps are exactly the greedy decode steps: one per emitted
+  // token, plus the EOS step unless max_len cut the sentence short.
+  const long decode_steps = static_cast<long>(serial.size()) +
+                            (static_cast<int>(serial.size()) < cfg.max_len);
+  EXPECT_EQ(rep.packed_steps(), decode_steps);
   EXPECT_DOUBLE_EQ(rep.packed_rows_mean(), 1.0);  // greedy, one sentence
-  // Same total work, differently bucketed: the packed run charges encoder
-  // cycles through step ledgers, the eager run through per-run ledgers.
-  EXPECT_EQ(rep.sentences(), eager_rep.sentences());
-}
-
-TEST(PrefillPackServe, EagerAdmissionChargesPrefillStallAndPackingShrinksIt) {
-  Rng rng(175);
-  const TransformerWeights weights =
-      TransformerWeights::random(hw_config(), 20, rng);
-  // 2 slots on one card: admissions after the first land while a live
-  // sentence is mid-decode, so the eager encoder pass stalls it.
-  Scheduler eager(weights, calib_sources(),
-                  serve_config(ServeBackend::kAccelerator, 1, 2, false));
-  const ScheduleReport eager_rep = eager.run(ragged_sources());
-  EXPECT_GT(eager_rep.prefill_stall_cycles(), 0);
-
-  Scheduler packed(weights, calib_sources(),
-                   serve_config(ServeBackend::kAccelerator, 1, 2, true));
-  const ScheduleReport packed_rep = packed.run(ragged_sources());
-  EXPECT_EQ(packed_rep.outputs, eager_rep.outputs);
-  EXPECT_LT(packed_rep.prefill_stall_cycles(),
-            eager_rep.prefill_stall_cycles());
-  // Packing splices the same encoder work through the step ledgers instead
-  // of standalone runs, so the farm finishes no later.
-  EXPECT_LE(packed_rep.makespan_cycles(), eager_rep.makespan_cycles());
+  EXPECT_EQ(rep.sentences(), 1);
 }
 
 TEST(PrefillPackServe, RunRejectsBadArrivals) {
@@ -398,7 +394,7 @@ TEST(PrefillPackServe, RunRejectsBadArrivals) {
   const TransformerWeights weights =
       TransformerWeights::random(hw_config(), 20, rng);
   Scheduler sched(weights, calib_sources(),
-                  serve_config(ServeBackend::kAccelerator, 1, 2, true));
+                  serve_config(ServeBackend::kAccelerator, 1, 2));
   const std::vector<TokenSeq> sources = {{3, 4}, {5, 6}};
   EXPECT_THROW(sched.run(sources, {0}), CheckError);          // size mismatch
   EXPECT_THROW(sched.run(sources, {-1, 0}), CheckError);      // negative

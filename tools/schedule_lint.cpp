@@ -2,9 +2,10 @@
 //
 // Treats each builder as a program generator: sweeps a grid of shapes and
 // knob combinations (slot counts 1/8/16, greedy vs program-order issue,
-// prefill chunk sizes, fuse_decode_step / pack_prefill on and off), builds
-// every ledger TWICE on fresh timelines, and runs the typed schedule
-// verifier (analysis/verifier.hpp) over each build — the second build also
+// prefill chunk sizes, decode steps fused and per-sublayer, prefill chunks
+// standalone and spliced into mixed step ledgers), builds every ledger
+// TWICE on fresh timelines, and runs the typed schedule verifier
+// (analysis/verifier.hpp) over each build — the second build also
 // checks the canonical ledger hash against the first, so any
 // non-determinism (hash-map iteration, uninitialized state, host-dependent
 // ordering) fails the gate even when both builds are individually legal.
@@ -166,8 +167,8 @@ void sweep(Lint& lint, bool full) {
             cached_po);
       }
 
-    // The decode step, fused (one cross-sublayer ledger) and unfused
-    // (per-sublayer ledgers, each cold) — the fuse_decode_step knob.
+    // The decode step, fused (one cross-sublayer ledger, the serve loop)
+    // and unfused (per-sublayer ledgers, each cold).
     for (const int slots : slot_grid) {
       std::vector<int> totals;
       for (int r = 0; r < slots; ++r) totals.push_back(4 + (3 * r) % 7);
@@ -196,8 +197,8 @@ void sweep(Lint& lint, bool full) {
             cached_po);
     }
 
-    // Prefill chunks, standalone (pack_prefill off) and spliced into a
-    // mixed prefill/decode step ledger (pack_prefill on), across the chunk
+    // Prefill chunks, standalone and spliced into a mixed prefill/decode
+    // step ledger (the serve loop), across the chunk
     // grid. The mixed ledger exercises the prefetch chain across the
     // prefill/decode seam — the PR 6 invariant.
     for (const int chunk_rows : chunk_grid) {
