@@ -287,10 +287,11 @@ VerifyResult verify_schedule(const OpGraph& g, const ScheduleStats& st,
     }
   }
 
-  // --- Program-order pin (Algorithm 1 / ablation): per-resource issue order
-  // must follow op insertion order. A strict start-time inversion between a
-  // higher- and lower-id op on one resource proves reordering.
-  if (opts.program_order) {
+  // --- Program-order pin (Algorithm 1): a ledger issued in program order
+  // must follow op insertion order on every resource. A strict start-time
+  // inversion between a higher- and lower-id op on one resource proves
+  // reordering.
+  if (st.policy == IssuePolicy::kProgramOrder) {
     for (const OpResource r :
          {OpResource::kSa, OpResource::kSoftmax, OpResource::kLayerNorm,
           OpResource::kWeightLoad}) {

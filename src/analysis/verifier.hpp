@@ -2,8 +2,9 @@
 //
 // The repo's core claim — paper-pinned cycle counts and deterministic,
 // host-independent per-card ledgers — rests on every placed schedule being
-// legal. This subsystem treats any OpGraph plus a placed schedule (ScheduleStats / FusedRun) as a *program* and checks the
-// full invariant set:
+// legal. This subsystem treats any OpGraph plus a placed schedule
+// (ScheduleStats / FusedRun) as a *program* and checks the full invariant
+// set:
 //
 //   * coverage           — every op has exactly one interval and result time
 //   * dependency legality — no op starts before its producers' results
@@ -12,8 +13,9 @@
 //   * single occupancy   — no two intervals overlap on one resource
 //   * prefetch chain     — WeightLoad single-residency and continuity
 //                          (PR 5/6, including across the prefill/decode seam)
-//   * program-order pins — schedule_mha (Algorithm 1) and the
-//                          interleave_decode=false ablation issue in order
+//   * program-order pin  — a ledger scheduled under
+//                          IssuePolicy::kProgramOrder (schedule_mha's
+//                          Algorithm 1 flow) issues in op order
 //   * lane rules         — chained sublayers of one fused lane never
 //                          interleave their SA occupancies
 //   * determinism        — a canonical FNV-1a hash of the ledger, compared
@@ -65,11 +67,9 @@ struct Diagnostic {
   std::string message;
 };
 
+/// The program-order pin is not an option: it applies iff the ledger's own
+/// ScheduleStats::policy says it was issued under kProgramOrder.
 struct VerifyOptions {
-  /// The schedule claims IssuePolicy::kProgramOrder (schedule_mha, or any
-  /// flow under the interleave_decode=false ablation): per-resource issue
-  /// order must follow op insertion order.
-  bool program_order = false;
   /// Expected canonical ledger hash from a previous build of the same
   /// shapes (0 = don't check). A mismatch is a determinism violation: the
   /// per-card ledgers must be identical on any host.

@@ -76,13 +76,6 @@ struct AcceleratorConfig {
   int layernorm_lut_latency = 4;    ///< x^(-0.5) LUT + multiply latency
   double clock_mhz = 200.0;         ///< Vivado-reported achievable clock
   bool overlap_softmax = true;      ///< run softmax parallel to V·W_V (Alg. 1 l.6)
-  /// Dependency-driven interleaving of the KV-cached decode flows: ready
-  /// attention ops of other slots/heads stream on the SA while a softmax
-  /// runs, instead of Algorithm 1's strict per-slot program order. Timing
-  /// only — functional results are identical. false is the ablation knob:
-  /// strict program-order issue (PR 3 style; exact PR 3 cycle counts can
-  /// differ slightly because projections now issue K/V before Q).
-  bool interleave_decode = true;
   /// Max encoder query rows one prefill chunk contributes to a serve step:
   /// the Scheduler splices each admitted sentence's encoder pass into the
   /// card's fused step ledgers in chunks this size, so one long sentence

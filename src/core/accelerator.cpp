@@ -11,27 +11,21 @@ namespace {
 
 /// Paranoid mode (cfg.verify_schedules): run the typed verifier over the
 /// ledger just built and throw with the full diagnostic list on violation.
-/// `policy` is the issue policy the builder actually used, so the verifier
-/// knows whether the program-order pin applies.
+/// The ledger carries the issue policy it ran under, so the verifier knows
+/// whether the program-order pin applies.
 void maybe_verify(const AcceleratorConfig& cfg, const char* what,
-                  const ScheduledRun& run, IssuePolicy policy,
-                  RunReport& rep) {
+                  const ScheduledRun& run, RunReport& rep) {
   if (!cfg.verify_schedules) return;
-  VerifyOptions opts;
-  opts.program_order = policy == IssuePolicy::kProgramOrder;
-  const VerifyResult res = verify_schedule(run.graph, run.stats, opts);
+  const VerifyResult res = verify_schedule(run.graph, run.stats);
   TFACC_CHECK_MSG(res.ok(), what << " schedule failed verification:\n"
                                  << res.to_string());
   rep.ledger_hash = res.hash;  // canonical PR 7 hash, 0 when verify is off
 }
 
 void maybe_verify_fused(const AcceleratorConfig& cfg, const char* what,
-                        const FusedRun& run, IssuePolicy policy,
-                        RunReport& rep) {
+                        const FusedRun& run, RunReport& rep) {
   if (!cfg.verify_schedules) return;
-  VerifyOptions opts;
-  opts.program_order = policy == IssuePolicy::kProgramOrder;
-  const VerifyResult res = verify_fused(run, opts);
+  const VerifyResult res = verify_fused(run);
   TFACC_CHECK_MSG(res.ok(), what << " ledger failed verification:\n"
                                  << res.to_string());
   rep.ledger_hash = res.hash;
@@ -117,7 +111,7 @@ Accelerator::MhaResult Accelerator::run_mha(const MhaQuantized& block,
   const ScheduledRun sched =
       schedule_mha(cfg_, rep.timeline, q.rows(), kv.rows(), block.d_model,
                    block.num_heads);
-  maybe_verify(cfg_, "run_mha", sched, IssuePolicy::kProgramOrder, rep);
+  maybe_verify(cfg_, "run_mha", sched, rep);
   finalize_report(rep, cfg_, sched.stats);
   return res;
 }
@@ -147,7 +141,7 @@ Accelerator::FfnResult Accelerator::run_ffn(const FfnQuantized& block,
   RunReport& rep = res.report;
   const ScheduledRun sched =
       schedule_ffn(cfg_, rep.timeline, x.rows(), block.d_model, block.d_ff);
-  maybe_verify(cfg_, "run_ffn", sched, IssuePolicy::kGreedy, rep);
+  maybe_verify(cfg_, "run_ffn", sched, rep);
   finalize_report(rep, cfg_, sched.stats);
   return res;
 }
@@ -158,22 +152,20 @@ RunReport Accelerator::time_mha(int s_q, int s_kv, int d_model,
   RunReport rep;
   const ScheduledRun sched =
       schedule_mha(cfg_, rep.timeline, s_q, s_kv, d_model, num_heads);
-  maybe_verify(cfg_, "time_mha", sched, IssuePolicy::kProgramOrder, rep);
+  maybe_verify(cfg_, "time_mha", sched, rep);
   finalize_report(rep, cfg_, sched.stats);
   return rep;
 }
 
-RunReport Accelerator::time_mha_cached(int s_new, int s_total, int d_model,
-                                       int num_heads,
+RunReport Accelerator::time_mha_cached(int s_total, int d_model, int num_heads,
                                        int project_kv_rows) const {
-  TFACC_CHECK_ARG(s_new > 0 && s_total >= s_new);
-  TFACC_CHECK_ARG(project_kv_rows >= 0);
+  TFACC_CHECK_ARG(s_total > 0);
+  TFACC_CHECK_ARG(project_kv_rows >= 0 && project_kv_rows <= s_total);
   TFACC_CHECK_ARG(d_model == num_heads * cfg_.sa_cols);
   RunReport rep;
-  const ScheduledRun sched =
-      schedule_mha_cached(cfg_, rep.timeline, s_new, s_total, d_model,
-                          num_heads, project_kv_rows);
-  maybe_verify(cfg_, "time_mha_cached", sched, cached_policy(cfg_), rep);
+  const ScheduledRun sched = schedule_mha_cached_batch(
+      cfg_, rep.timeline, {s_total}, d_model, num_heads, project_kv_rows);
+  maybe_verify(cfg_, "time_mha_cached", sched, rep);
   finalize_report(rep, cfg_, sched.stats);
   return rep;
 }
@@ -183,7 +175,7 @@ Accelerator::MhaResult Accelerator::run_mha_cached(const MhaQuantized& block,
                                                    const QuantKvCache& cache,
                                                    const Mask& mask,
                                                    int projected_rows) const {
-  TFACC_CHECK_ARG(q.cols() == block.d_model);
+  TFACC_CHECK_ARG(q.rows() == 1 && q.cols() == block.d_model);
   TFACC_CHECK_ARG(mask.rows() == q.rows() && mask.cols() == cache.rows());
   TFACC_CHECK_ARG(projected_rows >= 0 && projected_rows <= cache.rows());
   TFACC_CHECK_ARG_MSG(block.head_dim == cfg_.sa_cols,
@@ -193,9 +185,10 @@ Accelerator::MhaResult Accelerator::run_mha_cached(const MhaQuantized& block,
   MhaResult res;
   RunReport& rep = res.report;
   const ScheduledRun sched =
-      schedule_mha_cached(cfg_, rep.timeline, q.rows(), cache.rows(),
-                          block.d_model, block.num_heads, projected_rows);
-  maybe_verify(cfg_, "run_mha_cached", sched, cached_policy(cfg_), rep);
+      schedule_mha_cached_batch(cfg_, rep.timeline, {cache.rows()},
+                                block.d_model, block.num_heads,
+                                projected_rows);
+  maybe_verify(cfg_, "run_mha_cached", sched, rep);
 
   // Functional pass: identical arithmetic to the quantized model's cached
   // path (the caller appended this step's K/V rows before invoking us, so
@@ -241,7 +234,7 @@ Accelerator::MhaResult Accelerator::run_mha_cached_batch(
   const ScheduledRun sched =
       schedule_mha_cached_batch(cfg_, rep.timeline, totals, block.d_model,
                                 block.num_heads, projected_rows);
-  maybe_verify(cfg_, "run_mha_cached_batch", sched, cached_policy(cfg_), rep);
+  maybe_verify(cfg_, "run_mha_cached_batch", sched, rep);
   finalize_report(rep, cfg_, sched.stats);
   return res;
 }
@@ -251,44 +244,16 @@ RunReport Accelerator::time_ffn(int s, int d_model, int d_ff) const {
   RunReport rep;
   const ScheduledRun sched =
       schedule_ffn(cfg_, rep.timeline, s, d_model, d_ff);
-  maybe_verify(cfg_, "time_ffn", sched, IssuePolicy::kGreedy, rep);
+  maybe_verify(cfg_, "time_ffn", sched, rep);
   finalize_report(rep, cfg_, sched.stats);
   return rep;
 }
 
-namespace {
-
-/// Issue policy of a fused ledger: a full-MHA sublayer pins Algorithm 1
-/// program order (the paper-validated controller); the cached decode flows
-/// follow the interleave_decode knob like their standalone builders.
-IssuePolicy fused_policy(const AcceleratorConfig& cfg,
-                         const std::vector<SublayerPlan>& subs) {
-  for (const SublayerPlan& sub : subs)
-    if (sub.kind == SublayerPlan::Kind::kMha)
-      return IssuePolicy::kProgramOrder;
-  return cached_policy(cfg);
-}
-
-/// Lane variant: kMhaPrefill deliberately does NOT pin program order — the
-/// whole point of the mixed step is that encoder chunks interleave with the
-/// packed decode rows under the cached-flow policy.
-IssuePolicy fused_policy(const AcceleratorConfig& cfg,
-                         const std::vector<FusedLane>& lanes) {
-  for (const FusedLane& lane : lanes)
-    for (const SublayerPlan& sub : lane.subs)
-      if (sub.kind == SublayerPlan::Kind::kMha)
-        return IssuePolicy::kProgramOrder;
-  return cached_policy(cfg);
-}
-
-}  // namespace
-
 RunReport Accelerator::time_fused(const std::vector<SublayerPlan>& subs,
                                   bool chain) const {
   RunReport rep;
-  const FusedRun fused = schedule_fused(cfg_, rep.timeline, subs, chain,
-                                        fused_policy(cfg_, subs));
-  maybe_verify_fused(cfg_, "time_fused", fused, fused_policy(cfg_, subs), rep);
+  const FusedRun fused = schedule_fused(cfg_, rep.timeline, subs, chain);
+  maybe_verify_fused(cfg_, "time_fused", fused, rep);
   finalize_report(rep, cfg_, fused.stats);
   // Replace the edges-only estimate with the composer's seam-aware number
   // (identical for a one-sublayer ledger).
@@ -298,9 +263,8 @@ RunReport Accelerator::time_fused(const std::vector<SublayerPlan>& subs,
 
 RunReport Accelerator::time_step(const std::vector<FusedLane>& lanes) const {
   RunReport rep;
-  const FusedRun fused = schedule_fused_lanes(cfg_, rep.timeline, lanes,
-                                              fused_policy(cfg_, lanes));
-  maybe_verify_fused(cfg_, "time_step", fused, fused_policy(cfg_, lanes), rep);
+  const FusedRun fused = schedule_fused_lanes(cfg_, rep.timeline, lanes);
+  maybe_verify_fused(cfg_, "time_step", fused, rep);
   finalize_report(rep, cfg_, fused.stats);
   rep.boundary_stall = fused.boundary_stall;
   rep.prefill_stall = fused.prefill_stall;

@@ -106,9 +106,11 @@ AppendResult append_mha_cached_batch(OpGraph& g, const AcceleratorConfig& cfg,
   for (int h = 0; h < num_heads; ++h) {
     const std::string tag = prefix + "head" + std::to_string(h);
     // Projections stream the stacked slot rows through a single weight-tile
-    // residency (the PR 3 full-tile restoration). K/V project before Q so
-    // the first slot's K₁ᵀ tile loads under the Q projection (see
-    // schedule_mha_cached) — the one-slot graph stays identical to it.
+    // residency (the PR 3 full-tile restoration). K/V project before Q
+    // (insertion order = greedy tie-break priority): their output tiles are
+    // the attention GEMMs' stationary operands, so starting them first lets
+    // the first slot's K₁ᵀ tile load under the Q projection instead of
+    // stalling the first QKt.
     int k_dep = OpNode::kStaticWeight;  // cached K₁ᵀ / V₁ are resident
     int v_dep = OpNode::kStaticWeight;
     if (project_kv_rows > 0) {
@@ -235,11 +237,6 @@ AppendResult append_sublayer(OpGraph& g, const AcceleratorConfig& cfg,
 
 }  // namespace
 
-IssuePolicy cached_policy(const AcceleratorConfig& cfg) {
-  return cfg.interleave_decode ? IssuePolicy::kGreedy
-                               : IssuePolicy::kProgramOrder;
-}
-
 ScheduledRun schedule_mha(const AcceleratorConfig& cfg, Timeline& tl, int s_q,
                           int s_kv, int d_model, int num_heads) {
   cfg.validate();
@@ -253,43 +250,6 @@ ScheduledRun schedule_mha(const AcceleratorConfig& cfg, Timeline& tl, int s_q,
   return run;
 }
 
-ScheduledRun schedule_mha_cached(const AcceleratorConfig& cfg, Timeline& tl,
-                                 int s_new, int s_total, int d_model,
-                                 int num_heads, int project_kv_rows) {
-  cfg.validate();
-  const int hd = cfg.sa_cols;
-  ScheduledRun run;
-  OpGraph& g = run.graph;
-  std::vector<int> avs;
-  avs.reserve(static_cast<std::size_t>(num_heads));
-  for (int h = 0; h < num_heads; ++h) {
-    const std::string tag = "head" + std::to_string(h);
-    // K/V project before Q (insertion order = greedy tie-break priority):
-    // their output tiles are the attention GEMMs' stationary operands, so
-    // starting them first lets the K₁ᵀ load run under the Q projection
-    // instead of stalling the first QKt.
-    int k_dep = OpNode::kStaticWeight;  // cached K₁ᵀ / V₁ are resident
-    int v_dep = OpNode::kStaticWeight;
-    if (project_kv_rows > 0) {
-      k_dep = add_gemm(g, cfg, project_kv_rows, d_model, hd, {},
-                       OpNode::kStaticWeight, tag + ".KWk");
-      v_dep = add_gemm(g, cfg, project_kv_rows, d_model, hd, {},
-                       OpNode::kStaticWeight, tag + ".VWv");
-    }
-    const int q1 = add_gemm(g, cfg, s_new, d_model, hd, {},
-                            OpNode::kStaticWeight, tag + ".QWq");
-    const int d =
-        add_gemm(g, cfg, s_new, hd, s_total, {q1}, k_dep, tag + ".QKt");
-    const int sm = add_softmax(g, cfg, d, s_total, tag + ".softmax");
-    avs.push_back(
-        add_gemm(g, cfg, s_new, s_total, hd, {sm}, v_dep, tag + ".AV", sm));
-  }
-  add_output_blocks(g, cfg, s_new, d_model, avs, "");
-  run.stats =
-      schedule_ops(g, cfg.weight_load_cycles, cached_policy(cfg), tl);
-  return run;
-}
-
 ScheduledRun schedule_mha_cached_batch(const AcceleratorConfig& cfg,
                                        Timeline& tl,
                                        const std::vector<int>& totals,
@@ -300,7 +260,7 @@ ScheduledRun schedule_mha_cached_batch(const AcceleratorConfig& cfg,
   append_mha_cached_batch(run.graph, cfg, totals, d_model, num_heads,
                           project_kv_rows, {}, "");
   run.stats = schedule_ops(run.graph, cfg.weight_load_cycles,
-                           cached_policy(cfg), tl);
+                           IssuePolicy::kGreedy, tl);
   return run;
 }
 
@@ -403,12 +363,19 @@ std::vector<SublayerPlan> chunk_prefill(const std::vector<SublayerPlan>& subs,
 }
 
 FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
-                              const std::vector<FusedLane>& lanes,
-                              IssuePolicy policy) {
+                              const std::vector<FusedLane>& lanes) {
   cfg.validate();
   TFACC_CHECK_ARG_MSG(!lanes.empty(), "fused ledger needs >= 1 lane");
-  for (const FusedLane& lane : lanes)
+  // A full-MHA sublayer pins Algorithm 1 program order (the paper-validated
+  // controller) for the whole ledger; kMhaPrefill deliberately does not —
+  // encoder chunks interleave greedily with the packed decode rows.
+  IssuePolicy policy = IssuePolicy::kGreedy;
+  for (const FusedLane& lane : lanes) {
     TFACC_CHECK_ARG_MSG(!lane.subs.empty(), "fused lane needs >= 1 sublayer");
+    for (const SublayerPlan& sub : lane.subs)
+      if (sub.kind == SublayerPlan::Kind::kMha)
+        policy = IssuePolicy::kProgramOrder;
+  }
   FusedRun fr;
   OpGraph& g = fr.graph;
 
@@ -510,15 +477,14 @@ FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
     for (const FusedLane& lane : lanes)
       if (!lane.prefill) decode_lanes.push_back(lane);
     Timeline scratch;
-    (void)schedule_fused_lanes(cfg, scratch, decode_lanes, policy);
+    (void)schedule_fused_lanes(cfg, scratch, decode_lanes);
     fr.prefill_stall = std::max<Cycle>(0, tl.end_time() - scratch.end_time());
   }
   return fr;
 }
 
 FusedRun schedule_fused(const AcceleratorConfig& cfg, Timeline& tl,
-                        const std::vector<SublayerPlan>& subs, bool chain,
-                        IssuePolicy policy) {
+                        const std::vector<SublayerPlan>& subs, bool chain) {
   TFACC_CHECK_ARG_MSG(!subs.empty(), "fused ledger needs >= 1 sublayer");
   // One chained lane, or one singleton lane per sublayer (unchained
   // back-to-back invocations): either way the lane composer appends the
@@ -532,27 +498,7 @@ FusedRun schedule_fused(const AcceleratorConfig& cfg, Timeline& tl,
     for (const SublayerPlan& sub : subs)
       lanes.push_back(FusedLane{{sub}, false});
   }
-  return schedule_fused_lanes(cfg, tl, lanes, policy);
-}
-
-ScheduledRun schedule_prefill(const AcceleratorConfig& cfg, Timeline& tl,
-                              const SublayerPlan& chunk) {
-  cfg.validate();
-  TFACC_CHECK_ARG_MSG(chunk.kind == SublayerPlan::Kind::kMhaPrefill ||
-                          chunk.kind == SublayerPlan::Kind::kFfn,
-                      "schedule_prefill: " << chunk.label
-                                           << " is not an encoder chunk");
-  ScheduledRun run;
-  append_sublayer(run.graph, cfg, chunk, {},
-                  chunk.label.empty() ? "" : chunk.label + ".");
-  run.stats = schedule_ops(run.graph, cfg.weight_load_cycles,
-                           cached_policy(cfg), tl);
-  return run;
-}
-
-FusedRun schedule_decode_step(const AcceleratorConfig& cfg, Timeline& tl,
-                              const std::vector<SublayerPlan>& subs) {
-  return schedule_fused(cfg, tl, subs, /*chain=*/true, cached_policy(cfg));
+  return schedule_fused_lanes(cfg, tl, lanes);
 }
 
 }  // namespace tfacc

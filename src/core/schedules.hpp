@@ -1,26 +1,26 @@
-// The four ResBlock schedule builders, rebuilt (PR 4) as dependency graphs
+// The ResBlock schedule builders, rebuilt (PR 4) as dependency graphs
 // placed by the list scheduler of sim/op_graph.hpp.
 //
 //  * schedule_mha          — Algorithm 1 lines 1-13, the paper's validated
-//                            single-sentence flow. Issued in program order:
-//                            this is the controller the paper describes and
-//                            the cycle counts Section V.B pins (21,188 at
-//                            the design point) depend on its exact order.
-//  * schedule_mha_cached   — KV-cached incremental decode (PR 2).
-//  * schedule_mha_cached_batch — packed continuous-batching decode (PR 3).
+//                            single-sentence flow.
+//  * schedule_mha_cached_batch — packed KV-cached decode (PR 3); one slot
+//                            is the single-hypothesis cached step.
 //  * schedule_ffn          — Algorithm 1 lines 14-22.
+//  * schedule_fused / schedule_fused_lanes — multi-sublayer ledgers.
 //
-// The cached flows issue greedily by default (AcceleratorConfig::
-// interleave_decode): while the softmax unit processes slot r of head h,
-// the SA streams slot r+1's QKt or the next head's projections, so softmax
-// latency becomes overlap instead of a per-slot bubble. With one slot the
-// batch flow degenerates to exactly the cached flow's graph — cycle counts
-// are identical by construction (pinned in tests/test_op_graph.cpp).
+// One issue-policy rule covers every builder: a ledger that contains an
+// Algorithm-1 MHA (schedule_mha, or a kMha sublayer of a fused ledger)
+// issues in program order — this is the controller the paper describes,
+// and the cycle counts Section V.B pins (21,188 at the design point)
+// depend on its exact order. Every other ledger issues greedily: while the
+// softmax unit processes slot r of head h, the SA streams slot r+1's QKt
+// or the next head's projections, so softmax latency becomes overlap
+// instead of a per-slot bubble. The policy a ledger ran under is recorded
+// in its ScheduleStats::policy, which is what the verifier pins.
 //
 // Exposed publicly (rather than as accelerator.cpp internals) so tests can
 // audit schedule legality: verify_schedule() (analysis/verifier.hpp) proves
-// no resource double-books and no op outruns its operands, for every flow
-// and policy.
+// no resource double-books and no op outruns its operands, for every flow.
 #pragma once
 
 #include <vector>
@@ -36,29 +36,17 @@ struct ScheduledRun {
   ScheduleStats stats;
 };
 
-/// Issue policy of the KV-cached decode flows: greedy interleaving unless
-/// the interleave_decode ablation knob pins strict program order. Shared by
-/// the standalone cached builders, the fused decode-step composer, and
-/// Accelerator::time_fused, so the rule lives in exactly one place.
-IssuePolicy cached_policy(const AcceleratorConfig& cfg);
-
 /// Full MHA (Algorithm 1 lines 1-13): `s_q` query rows attend over `s_kv`
 /// key/value rows, `num_heads` heads of `cfg.sa_cols` dims each.
 ScheduledRun schedule_mha(const AcceleratorConfig& cfg, Timeline& tl, int s_q,
                           int s_kv, int d_model, int num_heads);
 
-/// KV-cached MHA: `s_new` query rows are projected and attend over `s_total`
-/// cached keys/values; only `project_kv_rows` K/V rows are projected this
-/// call (0 = fully cached, the steady decode state).
-ScheduledRun schedule_mha_cached(const AcceleratorConfig& cfg, Timeline& tl,
-                                 int s_new, int s_total, int d_model,
-                                 int num_heads, int project_kv_rows);
-
 /// Packed KV-cached MHA: one query row per slot, slot r attending over
 /// totals[r] cached keys/values. Projections (QWq, and KWk/VWv for the
 /// project_kv_rows appended rows) stream the stacked rows through a single
 /// weight-tile residency; the ragged per-slot attention GEMMs keep their
-/// one-row shapes and interleave across slots and heads.
+/// one-row shapes and interleave across slots and heads. With one slot
+/// ({s_total}) this is the single-hypothesis KV-cached decode step.
 ScheduledRun schedule_mha_cached_batch(const AcceleratorConfig& cfg,
                                        Timeline& tl,
                                        const std::vector<int>& totals,
@@ -89,8 +77,8 @@ ScheduledRun schedule_ffn(const AcceleratorConfig& cfg, Timeline& tl, int s,
 /// (project_kv_rows = s_kv there, 0 on later chunks, whose K₁ᵀ/V₁ are
 /// already resident in the data memory from an earlier step's ledger).
 /// Unlike kMha it does NOT pin the whole ledger to Algorithm 1 program
-/// order: prefill chunks interleave with decode rows under the cached-flow
-/// policy. A single full-size chunk builds exactly schedule_mha's graph.
+/// order: prefill chunks interleave greedily with decode rows. A single
+/// full-size chunk builds exactly schedule_mha's graph.
 struct SublayerPlan {
   enum class Kind { kMha, kMhaCachedBatch, kFfn, kMhaPrefill };
   Kind kind = Kind::kFfn;
@@ -173,32 +161,20 @@ struct FusedLane {
 /// back-to-back invocations (workload streaming) that share only the
 /// hardware and the weight-prefetch port. A one-sublayer fused ledger
 /// schedules its SA/Softmax/LayerNorm intervals identically to the
-/// standalone builder above (pinned in tests/test_fused_step.cpp).
+/// standalone builder above (pinned in tests/test_fused_step.cpp). With
+/// chain = true this is the packed decode step: every decoder sublayer of
+/// one step (self MHA, cross MHA, FFN, per block).
 FusedRun schedule_fused(const AcceleratorConfig& cfg, Timeline& tl,
-                        const std::vector<SublayerPlan>& subs, bool chain,
-                        IssuePolicy policy);
+                        const std::vector<SublayerPlan>& subs, bool chain);
 
 /// Splice `lanes` into one mixed step ledger (PR 6). Each lane chains
 /// internally; lanes share the hardware and one global prefetch chain but
 /// no data, so prefill chunks interleave freely with the packed decode
 /// rows. schedule_fused is the special case of one lane (chain = true) or
-/// one single-sublayer lane per plan (chain = false).
+/// one single-sublayer lane per plan (chain = false). A kMha sublayer in
+/// any lane pins the whole ledger to program order; otherwise it issues
+/// greedily.
 FusedRun schedule_fused_lanes(const AcceleratorConfig& cfg, Timeline& tl,
-                              const std::vector<FusedLane>& lanes,
-                              IssuePolicy policy);
-
-/// Standalone ledger of one prefill chunk: the chunk alone, issued under
-/// the cached-flow policy. The serve loop always splices chunks into mixed
-/// step ledgers; this form is what schedule_lint audits chunk by chunk, and
-/// a full-size kMhaPrefill chunk scheduled in program order builds exactly
-/// schedule_mha's graph (pinned in tests/test_prefill_pack.cpp).
-ScheduledRun schedule_prefill(const AcceleratorConfig& cfg, Timeline& tl,
-                              const SublayerPlan& chunk);
-
-/// The packed decode step: every decoder sublayer of one step (self MHA,
-/// cross MHA, FFN, per block) chained through the residual stream, issued
-/// under the cached-flow policy (greedy unless interleave_decode = false).
-FusedRun schedule_decode_step(const AcceleratorConfig& cfg, Timeline& tl,
-                              const std::vector<SublayerPlan>& subs);
+                              const std::vector<FusedLane>& lanes);
 
 }  // namespace tfacc

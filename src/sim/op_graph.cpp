@@ -109,6 +109,7 @@ ScheduleStats schedule_ops(const OpGraph& g, Cycle weight_load_cycles,
 
   ScheduleStats st;
   st.weight_load_cycles = weight_load_cycles;
+  st.policy = policy;
   st.intervals.resize(static_cast<std::size_t>(n));
   st.result_ready.assign(static_cast<std::size_t>(n), 0);
 

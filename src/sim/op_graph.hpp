@@ -124,6 +124,7 @@ struct ScheduleStats {
   std::vector<Interval> intervals;    ///< per op id, as reserved
   std::vector<Cycle> result_ready;    ///< interval end + result_latency
   Cycle weight_load_cycles = 0;       ///< the load latency scheduled with
+  IssuePolicy policy = IssuePolicy::kGreedy;  ///< the policy issued under
   Cycle sa_stream = 0;                ///< Σ MAC-issuing cycles
   Cycle sa_spill = 0;                 ///< Σ accumulator spill cycles
   Cycle sa_exposed_load = 0;          ///< SA idle purely on weight-tile loads

@@ -18,11 +18,7 @@
 namespace tfacc {
 namespace {
 
-AcceleratorConfig accel_config(bool interleave = true) {
-  AcceleratorConfig cfg;
-  cfg.interleave_decode = interleave;
-  return cfg;
-}
+AcceleratorConfig accel_config() { return AcceleratorConfig{}; }
 
 // The sublayer sequence the packed decode step issues for `blocks` decoder
 // blocks: self MHA (appending this step's K/V rows), cross MHA (fully
@@ -54,25 +50,23 @@ std::vector<int> greedy_totals(int slots) {
 // --- Legality across sublayer seams ------------------------------------------
 
 TEST(FusedAudit, DecodeStepLedgerIsLegalAcrossShapesAndPolicies) {
-  for (const bool interleave : {true, false})
-    for (const int slots : {1, 8, 16})
-      for (const int heads : {1, 8})
-        for (const int blocks : {1, 2}) {
-          Timeline tl;
-          const FusedRun fused = schedule_decode_step(
-              accel_config(interleave), tl,
-              decode_step_plan(greedy_totals(slots), heads * 64, heads,
-                               4 * heads * 64, blocks));
-          VerifyOptions opts;
-          opts.program_order = !interleave;
-          const VerifyResult res = verify_fused(fused, opts);
-          EXPECT_TRUE(res.ok())
-              << "slots=" << slots << " heads=" << heads << " blocks="
-              << blocks << (interleave ? " greedy" : " program-order")
-              << "\n" << res.to_string();
-          ASSERT_EQ(fused.segments.size(),
-                    static_cast<std::size_t>(3 * blocks));
-        }
+  for (const int slots : {1, 8, 16})
+    for (const int heads : {1, 8})
+      for (const int blocks : {1, 2}) {
+        Timeline tl;
+        const FusedRun fused = schedule_fused(
+            accel_config(), tl,
+            decode_step_plan(greedy_totals(slots), heads * 64, heads,
+                             4 * heads * 64, blocks),
+            /*chain=*/true);
+        EXPECT_EQ(fused.stats.policy, IssuePolicy::kGreedy);
+        const VerifyResult res = verify_fused(fused);
+        EXPECT_TRUE(res.ok())
+            << "slots=" << slots << " heads=" << heads << " blocks="
+            << blocks << "\n" << res.to_string();
+        ASSERT_EQ(fused.segments.size(),
+                  static_cast<std::size_t>(3 * blocks));
+      }
 }
 
 TEST(FusedAudit, UnchainedStreamLedgerIsLegal) {
@@ -83,18 +77,20 @@ TEST(FusedAudit, UnchainedStreamLedgerIsLegal) {
         std::vector<SublayerPlan>{ffn, ffn, ffn}}) {
     Timeline tl;
     const FusedRun fused =
-        schedule_fused(accel_config(), tl, subs, /*chain=*/false,
-                       IssuePolicy::kProgramOrder);
-    VerifyOptions opts;
-    opts.program_order = true;
-    const VerifyResult res = verify_fused(fused, opts);
+        schedule_fused(accel_config(), tl, subs, /*chain=*/false);
+    // Only an Algorithm-1 MHA pins the ledger to program order.
+    EXPECT_EQ(fused.stats.policy, subs[0].kind == SublayerPlan::Kind::kMha
+                                      ? IssuePolicy::kProgramOrder
+                                      : IssuePolicy::kGreedy);
+    const VerifyResult res = verify_fused(fused);
     EXPECT_TRUE(res.ok()) << res.to_string();
   }
 }
 
 TEST(FusedAudit, RejectsEmptyPlan) {
   Timeline tl;
-  EXPECT_THROW(schedule_decode_step(accel_config(), tl, {}), CheckError);
+  EXPECT_THROW(schedule_fused(accel_config(), tl, {}, /*chain=*/true),
+               CheckError);
 }
 
 // --- One-sublayer ≡ standalone builder ---------------------------------------
@@ -106,18 +102,12 @@ TEST(FusedAudit, RejectsEmptyPlan) {
 // prefetch; the remaining ops are in the standalone builder's order.)
 void expect_one_sublayer_pin(const SublayerPlan& sub,
                              const ScheduledRun& standalone,
-                             const Timeline& standalone_tl, bool interleave) {
+                             const Timeline& standalone_tl) {
   Timeline tl;
-  const IssuePolicy policy = sub.kind == SublayerPlan::Kind::kMha
-                                 ? IssuePolicy::kProgramOrder
-                                 : (interleave ? IssuePolicy::kGreedy
-                                               : IssuePolicy::kProgramOrder);
   const FusedRun fused =
-      schedule_fused(accel_config(interleave), tl, {sub}, /*chain=*/true,
-                     policy);
-  VerifyOptions opts;
-  opts.program_order = policy == IssuePolicy::kProgramOrder;
-  const VerifyResult res = verify_fused(fused, opts);
+      schedule_fused(accel_config(), tl, {sub}, /*chain=*/true);
+  EXPECT_EQ(fused.stats.policy, standalone.stats.policy);
+  const VerifyResult res = verify_fused(fused);
   EXPECT_TRUE(res.ok()) << res.to_string();
   EXPECT_EQ(tl.end_time(), standalone_tl.end_time());
   ASSERT_EQ(fused.graph.size(), standalone.graph.size() + 1);
@@ -135,16 +125,15 @@ void expect_one_sublayer_pin(const SublayerPlan& sub,
 }
 
 TEST(FusedDegenerate, OneSublayerMatchesStandaloneBatch) {
-  for (const bool interleave : {true, false})
-    for (const int project : {0, 8}) {
-      Timeline tl;
-      const ScheduledRun standalone = schedule_mha_cached_batch(
-          accel_config(interleave), tl, greedy_totals(8), 64, 1, project);
-      expect_one_sublayer_pin(
-          SublayerPlan::mha_cached_batch("self", greedy_totals(8), 64, 1,
-                                         project),
-          standalone, tl, interleave);
-    }
+  for (const int project : {0, 8}) {
+    Timeline tl;
+    const ScheduledRun standalone = schedule_mha_cached_batch(
+        accel_config(), tl, greedy_totals(8), 64, 1, project);
+    expect_one_sublayer_pin(
+        SublayerPlan::mha_cached_batch("self", greedy_totals(8), 64, 1,
+                                       project),
+        standalone, tl);
+  }
 }
 
 TEST(FusedDegenerate, OneSublayerMatchesStandaloneFfn) {
@@ -152,7 +141,7 @@ TEST(FusedDegenerate, OneSublayerMatchesStandaloneFfn) {
   const ScheduledRun standalone =
       schedule_ffn(accel_config(), tl, 16, 512, 2048);
   expect_one_sublayer_pin(SublayerPlan::ffn("ffn", 16, 512, 2048),
-                          standalone, tl, true);
+                          standalone, tl);
 }
 
 TEST(FusedDegenerate, OneSublayerMatchesStandaloneMha) {
@@ -160,7 +149,7 @@ TEST(FusedDegenerate, OneSublayerMatchesStandaloneMha) {
   const ScheduledRun standalone =
       schedule_mha(accel_config(), tl, 64, 64, 512, 8);
   expect_one_sublayer_pin(SublayerPlan::mha("mha", 64, 64, 512, 8),
-                          standalone, tl, true);
+                          standalone, tl);
 }
 
 // --- Seam semantics ----------------------------------------------------------
@@ -193,7 +182,7 @@ TEST(FusedSeams, PrefetchHidesUnderPreviousSublayer) {
   const AcceleratorConfig cfg = accel_config();
   Timeline tl;
   const auto subs = decode_step_plan(greedy_totals(16), 64, 1, 256, 2);
-  const FusedRun fused = schedule_decode_step(cfg, tl, subs);
+  const FusedRun fused = schedule_fused(cfg, tl, subs, /*chain=*/true);
 
   // Segment accounting: the first seam is the ledger's cold load; every
   // later seam is exactly the previous sublayer's LayerNorm tail (the
@@ -217,7 +206,8 @@ TEST(FusedSeams, PrefetchHidesUnderPreviousSublayer) {
 TEST(FusedSeams, WeightTileSingleResidencyRespected) {
   Timeline tl;
   const auto subs = decode_step_plan(greedy_totals(8), 64, 1, 256, 2);
-  const FusedRun fused = schedule_decode_step(accel_config(), tl, subs);
+  const FusedRun fused =
+      schedule_fused(accel_config(), tl, subs, /*chain=*/true);
 
   // Every prefetch after the first is gated on the previous sublayer's
   // first SA op having consumed its tile (the buffer holds one pending
@@ -243,8 +233,8 @@ TEST(FusedSeams, WeightTileSingleResidencyRespected) {
 TEST(FusedSeams, SchedulesAreDeterministic) {
   const auto subs = decode_step_plan(greedy_totals(16), 512, 8, 2048, 2);
   Timeline a_tl, b_tl;
-  const FusedRun a = schedule_decode_step(accel_config(), a_tl, subs);
-  const FusedRun b = schedule_decode_step(accel_config(), b_tl, subs);
+  const FusedRun a = schedule_fused(accel_config(), a_tl, subs, /*chain=*/true);
+  const FusedRun b = schedule_fused(accel_config(), b_tl, subs, /*chain=*/true);
   ASSERT_EQ(a.stats.intervals.size(), b.stats.intervals.size());
   for (std::size_t i = 0; i < a.stats.intervals.size(); ++i) {
     EXPECT_EQ(a.stats.intervals[i].start, b.stats.intervals[i].start);

@@ -4,9 +4,9 @@
 // Pinned here:
 //  * chunk_prefill coverage math (row partition, one-time K/V projection on
 //    the first MHA chunk, chunk_rows=1 and chunk-larger-than-sentence edges),
-//  * legality (verify_schedule) of standalone chunk ledgers and mixed
-//    prefill/decode lane ledgers across shapes × issue policies,
-//  * the full-size-chunk ≡ schedule_mha degenerate pin,
+//  * legality (verify_fused) of prefill-only step ledgers and mixed
+//    prefill/decode lane ledgers across shapes,
+//  * the full-size-chunk ≡ schedule_mha graph pin,
 //  * bit-identity of the packed Scheduler's outputs with serial
 //    per-sentence decode on all three backends (greedy and beam, burst and
 //    staggered arrivals, any chunk size),
@@ -111,11 +111,7 @@ std::vector<TokenSeq> serial_outputs(const TransformerWeights& weights,
   return out;
 }
 
-AcceleratorConfig accel_config(bool interleave = true) {
-  AcceleratorConfig cfg;
-  cfg.interleave_decode = interleave;
-  return cfg;
-}
+AcceleratorConfig accel_config() { return AcceleratorConfig{}; }
 
 // A sentence's full-size encoder plans: MHA + FFN per encoder layer.
 std::vector<SublayerPlan> encoder_plans(int rows, int d_model, int num_heads,
@@ -198,84 +194,91 @@ TEST(PrefillConfig, RejectsNonPositiveChunkRows) {
 // --- Legality of chunk and mixed-lane ledgers --------------------------------
 
 TEST(PrefillAudit, StandaloneChunkLedgersAreLegalAcrossShapesAndPolicies) {
-  for (const bool interleave : {true, false})
-    for (const int rows : {1, 7, 16, 33})
-      for (const int chunk_rows : {1, 5, 16, 64})
-        for (const int heads : {1, 8}) {
-          const auto chunks = chunk_prefill(
-              encoder_plans(rows, heads * 64, heads, 4 * heads * 64, 1),
-              chunk_rows);
-          for (const SublayerPlan& chunk : chunks) {
-            Timeline tl;
-            const ScheduledRun run =
-                schedule_prefill(accel_config(interleave), tl, chunk);
-            VerifyOptions opts;
-            opts.program_order = !interleave;
-            const VerifyResult res = verify_schedule(run.graph, run.stats, opts);
-            EXPECT_TRUE(res.ok())
-                << "rows=" << rows << " chunk_rows=" << chunk_rows
-                << " heads=" << heads
-                << (interleave ? " greedy" : " program-order") << "\n"
-                << res.to_string();
-          }
+  // Each chunk alone in a prefill-only step ledger: one prefill lane, what
+  // DecodeStepFuser::end_step builds when no decode rows are live.
+  for (const int rows : {1, 7, 16, 33})
+    for (const int chunk_rows : {1, 5, 16, 64})
+      for (const int heads : {1, 8}) {
+        const auto chunks = chunk_prefill(
+            encoder_plans(rows, heads * 64, heads, 4 * heads * 64, 1),
+            chunk_rows);
+        for (const SublayerPlan& chunk : chunks) {
+          Timeline tl;
+          const FusedRun run = schedule_fused_lanes(
+              accel_config(), tl, {FusedLane{{chunk}, true}});
+          EXPECT_EQ(run.stats.policy, IssuePolicy::kGreedy);
+          EXPECT_EQ(run.prefill_stall, 0);  // no decode lane to stall
+          const VerifyResult res = verify_fused(run);
+          EXPECT_TRUE(res.ok())
+              << "rows=" << rows << " chunk_rows=" << chunk_rows
+              << " heads=" << heads << "\n"
+              << res.to_string();
         }
-}
-
-TEST(PrefillAudit, MixedPrefillDecodeLanesAreLegalAcrossShapesAndPolicies) {
-  for (const bool interleave : {true, false})
-    for (const int slots : {1, 8, 16})
-      for (const int chunk_rows : {1, 6, 16}) {
-        // One chunk lane per admitted sentence + the chained decode lane,
-        // exactly the shape DecodeStepFuser::end_step composes.
-        std::vector<FusedLane> lanes;
-        const auto chunks =
-            chunk_prefill(encoder_plans(13, 64, 1, 256, 1), chunk_rows);
-        for (std::size_t i = 0; i < 2 && i < chunks.size(); ++i)
-          lanes.push_back(FusedLane{{chunks[i]}, true});
-        std::vector<int> totals;
-        for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
-        lanes.push_back(FusedLane{
-            {SublayerPlan::mha_cached_batch("dec.self", totals, 64, 1, slots),
-             SublayerPlan::mha_cached_batch("dec.cross", totals, 64, 1, 0),
-             SublayerPlan::ffn("dec.ffn", slots, 64, 256)},
-            false});
-        Timeline tl;
-        const FusedRun fused =
-            schedule_fused_lanes(accel_config(interleave), tl, lanes,
-                                 interleave ? IssuePolicy::kGreedy
-                                            : IssuePolicy::kProgramOrder);
-        VerifyOptions opts;
-        opts.program_order = !interleave;
-        const VerifyResult res = verify_fused(fused, opts);
-        EXPECT_TRUE(res.ok())
-            << "slots=" << slots << " chunk_rows=" << chunk_rows
-            << (interleave ? " greedy" : " program-order") << "\n"
-            << res.to_string();
-        // Prefill lanes' sublayers are tagged; the decode lane's are not.
-        for (std::size_t s = 0; s < fused.segments.size(); ++s)
-          EXPECT_EQ(fused.segments[s].prefill,
-                    s + 3 < fused.segments.size());
-        EXPECT_GE(fused.prefill_stall, 0);
-        EXPECT_GT(fused.stats.prefill_sa_busy, 0);
       }
 }
 
+TEST(PrefillAudit, MixedPrefillDecodeLanesAreLegalAcrossShapesAndPolicies) {
+  for (const int slots : {1, 8, 16})
+    for (const int chunk_rows : {1, 6, 16}) {
+      // One chunk lane per admitted sentence + the chained decode lane,
+      // exactly the shape DecodeStepFuser::end_step composes.
+      std::vector<FusedLane> lanes;
+      const auto chunks =
+          chunk_prefill(encoder_plans(13, 64, 1, 256, 1), chunk_rows);
+      for (std::size_t i = 0; i < 2 && i < chunks.size(); ++i)
+        lanes.push_back(FusedLane{{chunks[i]}, true});
+      std::vector<int> totals;
+      for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
+      lanes.push_back(FusedLane{
+          {SublayerPlan::mha_cached_batch("dec.self", totals, 64, 1, slots),
+           SublayerPlan::mha_cached_batch("dec.cross", totals, 64, 1, 0),
+           SublayerPlan::ffn("dec.ffn", slots, 64, 256)},
+          false});
+      Timeline tl;
+      const FusedRun fused = schedule_fused_lanes(accel_config(), tl, lanes);
+      const VerifyResult res = verify_fused(fused);
+      EXPECT_TRUE(res.ok())
+          << "slots=" << slots << " chunk_rows=" << chunk_rows << "\n"
+          << res.to_string();
+      // Prefill lanes' sublayers are tagged; the decode lane's are not.
+      for (std::size_t s = 0; s < fused.segments.size(); ++s)
+        EXPECT_EQ(fused.segments[s].prefill, s + 3 < fused.segments.size());
+      EXPECT_GE(fused.prefill_stall, 0);
+      EXPECT_GT(fused.stats.prefill_sa_busy, 0);
+    }
+}
+
 TEST(PrefillAudit, FullSizeChunkMatchesScheduleMhaIntervals) {
-  // A full-size kMhaPrefill chunk issued in program order builds exactly
-  // Algorithm 1's encoder MHA graph: same ops, same placement.
-  AcceleratorConfig cfg = accel_config(false);
+  // A full-size kMhaPrefill chunk builds exactly Algorithm 1's encoder MHA
+  // graph, op for op. Only the issue policy differs (a prefill chunk
+  // interleaves greedily), so the graphs are compared, not their
+  // placements. The prefill lane's op 0 is its prefetch, which every
+  // input-consuming op additionally depends on.
   for (const int rows : {7, 16}) {
     Timeline tl_chunk, tl_mha;
-    const ScheduledRun chunk = schedule_prefill(
-        cfg, tl_chunk, SublayerPlan::mha_prefill("m", rows, rows, 512, 8,
-                                                 rows));
-    const ScheduledRun mha = schedule_mha(cfg, tl_mha, rows, rows, 512, 8);
-    ASSERT_EQ(chunk.graph.size(), mha.graph.size()) << rows;
-    ASSERT_EQ(chunk.stats.intervals.size(), mha.stats.intervals.size());
-    for (std::size_t i = 0; i < mha.stats.intervals.size(); ++i) {
-      EXPECT_EQ(chunk.stats.intervals[i].start, mha.stats.intervals[i].start)
-          << "op " << i << " rows=" << rows;
-      EXPECT_EQ(chunk.stats.intervals[i].end, mha.stats.intervals[i].end);
+    const FusedRun chunk = schedule_fused_lanes(
+        accel_config(), tl_chunk,
+        {FusedLane{{SublayerPlan::mha_prefill("m", rows, rows, 512, 8, rows)},
+                   true}});
+    const ScheduledRun mha =
+        schedule_mha(accel_config(), tl_mha, rows, rows, 512, 8);
+    ASSERT_EQ(chunk.graph.size(), mha.graph.size() + 1) << rows;
+    ASSERT_EQ(chunk.graph.ops()[0].resource, OpResource::kWeightLoad);
+    const auto unshift = [](int id) {
+      return id == OpNode::kStaticWeight ? id : id - 1;
+    };
+    for (std::size_t i = 0; i < mha.graph.ops().size(); ++i) {
+      const OpNode& want = mha.graph.ops()[i];
+      const OpNode& got = chunk.graph.ops()[i + 1];
+      EXPECT_EQ(got.resource, want.resource) << "op " << i;
+      EXPECT_EQ(got.duration, want.duration) << "op " << i;
+      EXPECT_EQ(got.result_latency, want.result_latency) << "op " << i;
+      EXPECT_EQ(unshift(got.weight_dep), want.weight_dep) << "op " << i;
+      EXPECT_EQ(unshift(got.softmax_dep), want.softmax_dep) << "op " << i;
+      std::vector<int> deps;
+      for (const int d : got.deps)
+        if (d != 0) deps.push_back(d - 1);
+      EXPECT_EQ(deps, want.deps) << "op " << i;
     }
   }
 }

@@ -615,30 +615,5 @@ TEST(SchedulerStats, EmptyRunYieldsZerosNotDivisionsByZero) {
   EXPECT_EQ(empty.modeled_sentences_per_second(), 0.0);
 }
 
-// The PR 4 interleaved schedule: same sentences, same outputs, strictly
-// fewer simulated cycles and less SA time lost to softmax waits than the
-// strict program-order schedule it replaces (ablation knob).
-TEST(SchedulerStats, InterleavingBeatsProgramOrderSchedule) {
-  SyntheticTranslationTask task(24, 5, 8);
-  Rng rng(116);
-  const TransformerWeights weights =
-      TransformerWeights::random(hw_config(), task.vocab_size(), rng);
-  Rng src_rng(10);
-  std::vector<TokenSeq> sources;
-  for (int i = 0; i < 12; ++i) sources.push_back(task.sample(src_rng).source);
-
-  SchedulerConfig interleaved = base_config(ServeBackend::kAccelerator, 1, 8);
-  SchedulerConfig program = interleaved;
-  program.accel.interleave_decode = false;
-  Scheduler a(weights, calib_sources(), interleaved);
-  Scheduler b(weights, calib_sources(), program);
-  const ScheduleReport ra = a.run(sources);
-  const ScheduleReport rb = b.run(sources);
-  EXPECT_EQ(ra.outputs, rb.outputs);  // timing model only, data untouched
-  EXPECT_LT(ra.makespan_cycles(), rb.makespan_cycles());
-  EXPECT_GT(ra.sa_utilization(), rb.sa_utilization());
-  EXPECT_LT(ra.softmax_stall_cycles(), rb.softmax_stall_cycles());
-}
-
 }  // namespace
 }  // namespace tfacc

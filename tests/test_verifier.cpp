@@ -15,11 +15,7 @@
 namespace tfacc {
 namespace {
 
-AcceleratorConfig accel_config(bool interleave = true) {
-  AcceleratorConfig cfg;
-  cfg.interleave_decode = interleave;
-  return cfg;
-}
+AcceleratorConfig accel_config() { return AcceleratorConfig{}; }
 
 bool has_code(const VerifyResult& res, DiagCode code) {
   return std::any_of(res.diags.begin(), res.diags.end(),
@@ -63,44 +59,31 @@ void slide_op(const OpGraph& g, ScheduleStats& st, std::size_t i,
 // --- Positive sweeps ---------------------------------------------------------
 
 TEST(Verifier, CleanBuildersVerifyAcrossPoliciesAndShapes) {
-  for (const bool interleave : {true, false}) {
-    const AcceleratorConfig cfg = accel_config(interleave);
-    {
-      Timeline tl;
-      const ScheduledRun r = schedule_mha(cfg, tl, 64, 64, 512, 8);
-      VerifyOptions opts;
-      opts.program_order = true;  // Algorithm 1 is always pinned
-      EXPECT_TRUE(verify_schedule(r.graph, r.stats, opts).ok());
-    }
-    {
-      Timeline tl;
-      const ScheduledRun r = schedule_ffn(cfg, tl, 64, 512, 2048);
-      EXPECT_TRUE(verify_schedule(r.graph, r.stats).ok());
-    }
-    {
-      Timeline tl;
-      const ScheduledRun r = schedule_mha_cached(cfg, tl, 1, 64, 512, 8, 1);
-      VerifyOptions opts;
-      opts.program_order = cached_policy(cfg) == IssuePolicy::kProgramOrder;
-      EXPECT_TRUE(verify_schedule(r.graph, r.stats, opts).ok());
-    }
-    for (const int slots : {1, 8, 16}) {
-      Timeline tl;
-      const ScheduledRun r = schedule_mha_cached_batch(
-          cfg, tl, greedy_totals(slots), 512, 8, slots);
-      VerifyOptions opts;
-      opts.program_order = cached_policy(cfg) == IssuePolicy::kProgramOrder;
-      EXPECT_TRUE(verify_schedule(r.graph, r.stats, opts).ok())
-          << "slots=" << slots;
-    }
-    {
-      Timeline tl;
-      const FusedRun fused = schedule_decode_step(
-          cfg, tl, decode_plans(greedy_totals(8), 128, 2, 512, 2));
-      VerifyOptions opts;
-      opts.program_order = cached_policy(cfg) == IssuePolicy::kProgramOrder;
-      EXPECT_TRUE(verify_fused(fused, opts).ok());
-    }
+  const AcceleratorConfig cfg = accel_config();
+  {
+    Timeline tl;
+    const ScheduledRun r = schedule_mha(cfg, tl, 64, 64, 512, 8);
+    // Algorithm 1 is always pinned: the verifier checks program order.
+    EXPECT_EQ(r.stats.policy, IssuePolicy::kProgramOrder);
+    EXPECT_TRUE(verify_schedule(r.graph, r.stats).ok());
+  }
+  {
+    Timeline tl;
+    const ScheduledRun r = schedule_ffn(cfg, tl, 64, 512, 2048);
+    EXPECT_TRUE(verify_schedule(r.graph, r.stats).ok());
+  }
+  for (const int slots : {1, 8, 16}) {
+    Timeline tl;
+    const ScheduledRun r = schedule_mha_cached_batch(
+        cfg, tl, greedy_totals(slots), 512, 8, slots);
+    EXPECT_TRUE(verify_schedule(r.graph, r.stats).ok()) << "slots=" << slots;
+  }
+  {
+    Timeline tl;
+    const FusedRun fused = schedule_fused(
+        cfg, tl, decode_plans(greedy_totals(8), 128, 2, 512, 2),
+        /*chain=*/true);
+    EXPECT_TRUE(verify_fused(fused).ok());
   }
 }
 
@@ -213,8 +196,9 @@ TEST(TamperedSchedule, BrokenPrefetchChainFiresSchedChain) {
   // boundary. Yanking one load back to cycle 0 makes it start while an
   // earlier tile still sits unconsumed in the single-residency buffer.
   Timeline tl;
-  FusedRun run = schedule_decode_step(
-      accel_config(), tl, decode_plans(greedy_totals(8), 128, 2, 512, 2));
+  FusedRun run = schedule_fused(accel_config(), tl,
+                                decode_plans(greedy_totals(8), 128, 2, 512, 2),
+                                /*chain=*/true);
   ASSERT_TRUE(verify_fused(run).ok());
   std::vector<std::size_t> loads;
   for (std::size_t i = 0; i < run.graph.ops().size(); ++i)
@@ -228,28 +212,23 @@ TEST(TamperedSchedule, BrokenPrefetchChainFiresSchedChain) {
 
 TEST(TamperedSchedule, GreedyInterleavingUnderThePinFiresSchedOrder) {
   // A greedy-built packed schedule genuinely reorders ops (that is the PR 4
-  // win); verifying it against the program-order pin must object. The same
-  // graph built in program order verifies clean under the pin.
-  Timeline greedy_tl;
-  const ScheduledRun greedy = schedule_mha_cached_batch(
-      accel_config(true), greedy_tl, greedy_totals(16), 64, 1, 16);
-  VerifyOptions pin;
-  pin.program_order = true;
-  EXPECT_TRUE(has_code(verify_schedule(greedy.graph, greedy.stats, pin),
+  // win); a ledger claiming it was issued in program order must object.
+  Timeline tl;
+  ScheduledRun greedy = schedule_mha_cached_batch(
+      accel_config(), tl, greedy_totals(16), 64, 1, 16);
+  ASSERT_TRUE(verify_schedule(greedy.graph, greedy.stats).ok());
+  greedy.stats.policy = IssuePolicy::kProgramOrder;
+  EXPECT_TRUE(has_code(verify_schedule(greedy.graph, greedy.stats),
                        DiagCode::kProgramOrder));
-
-  Timeline program_tl;
-  const ScheduledRun program = schedule_mha_cached_batch(
-      accel_config(false), program_tl, greedy_totals(16), 64, 1, 16);
-  EXPECT_TRUE(verify_schedule(program.graph, program.stats, pin).ok());
 }
 
 TEST(TamperedSchedule, InterleavedChainedLanesFireSchedLane) {
   // The decode lane chains its sublayers through the residual stream:
   // faking segment overlap inside that one lane must trip the lane rule.
   Timeline tl;
-  FusedRun run = schedule_decode_step(
-      accel_config(), tl, decode_plans(greedy_totals(8), 128, 2, 512, 1));
+  FusedRun run = schedule_fused(accel_config(), tl,
+                                decode_plans(greedy_totals(8), 128, 2, 512, 1),
+                                /*chain=*/true);
   ASSERT_TRUE(verify_fused(run).ok());
   ASSERT_GE(run.segments.size(), 2u);
   ASSERT_EQ(run.segments[0].lane, run.segments[1].lane);
@@ -316,7 +295,7 @@ TEST(VerifyKnob, ParanoidAcceleratorVerifiesEveryLedgerItBuilds) {
   const Accelerator acc(cfg);
   EXPECT_NO_THROW(acc.time_mha(64, 64, 512, 8));
   EXPECT_NO_THROW(acc.time_ffn(64, 512, 2048));
-  EXPECT_NO_THROW(acc.time_mha_cached(1, 64, 512, 8, 1));
+  EXPECT_NO_THROW(acc.time_mha_cached(64, 512, 8, 1));
   std::vector<FusedLane> lanes;
   lanes.push_back(FusedLane{decode_plans(greedy_totals(8), 128, 2, 512, 1),
                             false});

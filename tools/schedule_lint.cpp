@@ -1,14 +1,17 @@
 // schedule_lint — CI gate over every schedule builder (PR 7).
 //
-// Treats each builder as a program generator: sweeps a grid of shapes and
-// knob combinations (slot counts 1/8/16, greedy vs program-order issue,
-// prefill chunk sizes, decode steps fused and per-sublayer, prefill chunks
-// standalone and spliced into mixed step ledgers), builds every ledger
-// TWICE on fresh timelines, and runs the typed schedule verifier
-// (analysis/verifier.hpp) over each build — the second build also
-// checks the canonical ledger hash against the first, so any
-// non-determinism (hash-map iteration, uninitialized state, host-dependent
-// ordering) fails the gate even when both builds are individually legal.
+// Treats each builder as a program generator: sweeps a grid of the ledgers
+// the accelerator builds — schedule_mha, schedule_ffn and the packed
+// cached MHA across slot counts 1/8/16, the fused decode step, the two
+// unchained stream ledgers (stream_mha/stream_ffn), and prefill chunks
+// across chunk sizes, alone in prefill-only step ledgers and spliced into
+// mixed prefill/decode step ledgers. Every ledger is built TWICE on fresh
+// timelines and the typed schedule verifier (analysis/verifier.hpp) runs
+// over each build — the second build also checks the canonical ledger hash
+// against the first, so any non-determinism (hash-map iteration,
+// uninitialized state, host-dependent ordering) fails the gate even when
+// both builds are individually legal. Each ledger carries the issue policy
+// it ran under, so the program-order pin needs no per-case setting.
 //
 //   schedule_lint [--grid=small|full] [--verbose]
 //     exit 0: every ledger in the grid verified clean
@@ -42,10 +45,8 @@ struct Lint {
 /// returns its verification (so every call is an independent rebuild). The
 /// second build must reproduce the first's hash bit for bit.
 void lint_case(Lint& lint, const std::string& name,
-               const std::function<VerifyResult(const VerifyOptions&)>& build,
-               bool program_order) {
+               const std::function<VerifyResult(const VerifyOptions&)>& build) {
   VerifyOptions opts;
-  opts.program_order = program_order;
   const VerifyResult first = build(opts);
   opts.expect_hash = first.hash;
   const VerifyResult rebuild = build(opts);
@@ -61,10 +62,6 @@ void lint_case(Lint& lint, const std::string& name,
   if (lint.verbose)
     std::printf("ok   %-60s hash=%016llx\n", name.c_str(),
                 static_cast<unsigned long long>(first.hash));
-}
-
-std::string tag(const std::string& base, bool interleave) {
-  return base + (interleave ? " [greedy]" : " [program-order]");
 }
 
 /// A sentence's encoder plans (MHA + FFN per layer), the prefill workload.
@@ -99,145 +96,106 @@ std::vector<SublayerPlan> decode_plans(const std::vector<int>& totals,
 }
 
 void sweep(Lint& lint, bool full) {
+  const AcceleratorConfig cfg;
   const std::vector<int> slot_grid = {1, 8, 16};
   const std::vector<int> chunk_grid = full ? std::vector<int>{1, 4, 16}
                                            : std::vector<int>{1, 16};
   const std::vector<int> seq_grid = full ? std::vector<int>{16, 33, 64}
                                          : std::vector<int>{16, 64};
 
-  for (const bool interleave : {true, false}) {
-    AcceleratorConfig cfg;
-    cfg.interleave_decode = interleave;
-    const bool cached_po = cached_policy(cfg) == IssuePolicy::kProgramOrder;
+  // schedule_mha — Algorithm 1, pinned to program order.
+  for (const int s : seq_grid)
+    lint_case(lint, "mha s=" + std::to_string(s),
+              [&, s](const VerifyOptions& o) {
+                Timeline tl;
+                const ScheduledRun r = schedule_mha(cfg, tl, s, s, 512, 8);
+                return verify_schedule(r.graph, r.stats, o);
+              });
 
-    // schedule_mha — Algorithm 1, always pinned to program order.
-    for (const int s : seq_grid)
-      lint_case(
-          lint, tag("mha s=" + std::to_string(s), interleave),
-          [&, s](const VerifyOptions& o) {
-            Timeline tl;
-            const ScheduledRun r = schedule_mha(cfg, tl, s, s, 512, 8);
-            return verify_schedule(r.graph, r.stats, o);
-          },
-          /*program_order=*/true);
+  // schedule_ffn — no softmax edges.
+  for (const int rows : {1, 16, 64})
+    lint_case(lint, "ffn rows=" + std::to_string(rows),
+              [&, rows](const VerifyOptions& o) {
+                Timeline tl;
+                const ScheduledRun r = schedule_ffn(cfg, tl, rows, 512, 2048);
+                return verify_schedule(r.graph, r.stats, o);
+              });
 
-    // schedule_ffn — greedy, no softmax edges.
-    for (const int rows : {1, 16, 64})
-      lint_case(
-          lint, tag("ffn rows=" + std::to_string(rows), interleave),
-          [&, rows](const VerifyOptions& o) {
-            Timeline tl;
-            const ScheduledRun r = schedule_ffn(cfg, tl, rows, 512, 2048);
-            return verify_schedule(r.graph, r.stats, o);
-          },
-          /*program_order=*/false);
-
-    // schedule_mha_cached — incremental decode, policy from the knob.
-    for (const int total : {8, 64})
-      for (const int project : {0, 1})
-        lint_case(
-            lint,
-            tag("mha_cached total=" + std::to_string(total) +
-                    " project=" + std::to_string(project),
-                interleave),
-            [&, total, project](const VerifyOptions& o) {
-              Timeline tl;
-              const ScheduledRun r = schedule_mha_cached(
-                  cfg, tl, 1, total, 512, 8, project);
-              return verify_schedule(r.graph, r.stats, o);
-            },
-            cached_po);
-
-    // schedule_mha_cached_batch — packed decode across the slot grid.
-    for (const int slots : slot_grid)
-      for (const int project : {0, slots}) {
-        std::vector<int> totals;
-        for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
-        lint_case(
-            lint,
-            tag("mha_cached_batch slots=" + std::to_string(slots) +
-                    " project=" + std::to_string(project),
-                interleave),
-            [&, totals, project](const VerifyOptions& o) {
-              Timeline tl;
-              const ScheduledRun r = schedule_mha_cached_batch(
-                  cfg, tl, totals, 512, 8, project);
-              return verify_schedule(r.graph, r.stats, o);
-            },
-            cached_po);
-      }
-
-    // The decode step, fused (one cross-sublayer ledger, the serve loop)
-    // and unfused (per-sublayer ledgers, each cold).
-    for (const int slots : slot_grid) {
+  // schedule_mha_cached_batch — packed decode across the slot grid; one
+  // slot is the single-hypothesis cached step.
+  for (const int slots : slot_grid)
+    for (const int project : {0, slots}) {
       std::vector<int> totals;
-      for (int r = 0; r < slots; ++r) totals.push_back(4 + (3 * r) % 7);
-      const auto subs = decode_plans(totals, 128, 2, 512, 2);
-      lint_case(
-          lint,
-          tag("decode_step fused slots=" + std::to_string(slots), interleave),
-          [&, subs](const VerifyOptions& o) {
-            Timeline tl;
-            return verify_fused(schedule_decode_step(cfg, tl, subs), o);
-          },
-          cached_po);
-      for (const SublayerPlan& sub : subs)
-        lint_case(
-            lint,
-            tag("decode_step unfused " + sub.label +
-                    " slots=" + std::to_string(slots),
-                interleave),
-            [&, sub](const VerifyOptions& o) {
-              Timeline tl;
-              return verify_fused(
-                  schedule_fused(cfg, tl, {sub}, /*chain=*/false,
-                                 cached_policy(cfg)),
-                  o);
-            },
-            cached_po);
+      for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
+      lint_case(lint,
+                "mha_cached_batch slots=" + std::to_string(slots) +
+                    " project=" + std::to_string(project),
+                [&, totals, project](const VerifyOptions& o) {
+                  Timeline tl;
+                  const ScheduledRun r = schedule_mha_cached_batch(
+                      cfg, tl, totals, 512, 8, project);
+                  return verify_schedule(r.graph, r.stats, o);
+                });
     }
 
-    // Prefill chunks, standalone and spliced into a mixed prefill/decode
-    // step ledger (the serve loop), across the chunk
-    // grid. The mixed ledger exercises the prefetch chain across the
-    // prefill/decode seam — the PR 6 invariant.
-    for (const int chunk_rows : chunk_grid) {
-      cfg.prefill_chunk_rows = chunk_rows;
-      const auto chunks =
-          chunk_prefill(encoder_plans(13, 128, 2, 512, 1), chunk_rows);
-      for (std::size_t i = 0; i < chunks.size(); ++i)
-        lint_case(
-            lint,
-            tag("prefill standalone chunk " + std::to_string(i) + "/" +
+  // The fused decode step: one chained cross-sublayer ledger.
+  for (const int slots : slot_grid) {
+    std::vector<int> totals;
+    for (int r = 0; r < slots; ++r) totals.push_back(4 + (3 * r) % 7);
+    const auto subs = decode_plans(totals, 128, 2, 512, 2);
+    lint_case(lint, "decode_step fused slots=" + std::to_string(slots),
+              [&, subs](const VerifyOptions& o) {
+                Timeline tl;
+                return verify_fused(
+                    schedule_fused(cfg, tl, subs, /*chain=*/true), o);
+              });
+  }
+
+  // The unchained two-invocation ledgers Accelerator::stream_mha and
+  // stream_ffn build at the paper's design point.
+  for (const SublayerPlan& sub :
+       {SublayerPlan::mha("mha", 64, 64, 512, 8),
+        SublayerPlan::ffn("ffn", 64, 512, 2048)})
+    lint_case(lint, "stream_" + sub.label + " unchained x2",
+              [&, sub](const VerifyOptions& o) {
+                Timeline tl;
+                return verify_fused(
+                    schedule_fused(cfg, tl, {sub, sub}, /*chain=*/false), o);
+              });
+
+  // Prefill chunks across the chunk grid: each alone in a prefill-only
+  // step ledger, and spliced into a mixed prefill/decode step ledger. The
+  // mixed ledger exercises the prefetch chain across the prefill/decode
+  // seam — the PR 6 invariant.
+  for (const int chunk_rows : chunk_grid) {
+    const auto chunks =
+        chunk_prefill(encoder_plans(13, 128, 2, 512, 1), chunk_rows);
+    for (std::size_t i = 0; i < chunks.size(); ++i)
+      lint_case(lint,
+                "prefill_step chunk " + std::to_string(i) + "/" +
                     std::to_string(chunks.size()) +
                     " chunk_rows=" + std::to_string(chunk_rows),
-                interleave),
-            [&, chunk = chunks[i]](const VerifyOptions& o) {
-              Timeline tl;
-              const ScheduledRun r = schedule_prefill(cfg, tl, chunk);
-              return verify_schedule(r.graph, r.stats, o);
-            },
-            cached_po);
+                [&, chunk = chunks[i]](const VerifyOptions& o) {
+                  Timeline tl;
+                  return verify_fused(
+                      schedule_fused_lanes(cfg, tl, {FusedLane{{chunk}, true}}),
+                      o);
+                });
 
-      for (const int slots : slot_grid) {
-        std::vector<FusedLane> lanes;
-        for (std::size_t i = 0; i < 2 && i < chunks.size(); ++i)
-          lanes.push_back(FusedLane{{chunks[i]}, true});
-        std::vector<int> totals;
-        for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
-        lanes.push_back(FusedLane{decode_plans(totals, 128, 2, 512, 1), false});
-        lint_case(
-            lint,
-            tag("mixed_step slots=" + std::to_string(slots) +
+    for (const int slots : slot_grid) {
+      std::vector<FusedLane> lanes;
+      for (std::size_t i = 0; i < 2 && i < chunks.size(); ++i)
+        lanes.push_back(FusedLane{{chunks[i]}, true});
+      std::vector<int> totals;
+      for (int r = 0; r < slots; ++r) totals.push_back(3 + (5 * r) % 11);
+      lanes.push_back(FusedLane{decode_plans(totals, 128, 2, 512, 1), false});
+      lint_case(lint,
+                "mixed_step slots=" + std::to_string(slots) +
                     " chunk_rows=" + std::to_string(chunk_rows),
-                interleave),
-            [&, lanes](const VerifyOptions& o) {
-              Timeline tl;
-              return verify_fused(
-                  schedule_fused_lanes(cfg, tl, lanes, cached_policy(cfg)), o);
-            },
-            cached_po);
-      }
+                [&, lanes](const VerifyOptions& o) {
+                  Timeline tl;
+                  return verify_fused(schedule_fused_lanes(cfg, tl, lanes), o);
+                });
     }
   }
 }
