@@ -161,8 +161,7 @@ int main() {
   bench::rule(56);
   double kernel_scalar_s = 0.0;
   for (const kernels::Kind kind :
-       {kernels::Kind::kScalar, kernels::Kind::kBlocked,
-        kernels::Kind::kSimd}) {
+       {kernels::Kind::kScalar, kernels::Kind::kSimd}) {
     kernels::set_kind(kind);
     const double secs =
         decode_wall_seconds(model, memory, src_valid, 32, DecodeMode::kKvCache);

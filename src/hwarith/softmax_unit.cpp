@@ -3,43 +3,22 @@
 #include "common/check.hpp"
 #include "hwarith/exp_ln.hpp"
 #include "tensor/kernels.hpp"
+#include "tensor/simd_x86.hpp"
 
 // The batched row path vectorizes the shipped 4-segment dyadic design with
 // per-function target("avx2") + a runtime CPU check, exactly like
 // tensor/kernels.cpp — the binary carries no -march requirement.
-#if defined(__x86_64__) || defined(__i386__)
-#define TFACC_SOFTMAX_X86 1
-#include <immintrin.h>
-#endif
 
 namespace tfacc::hw {
 
 namespace {
 
-#if TFACC_SOFTMAX_X86
+#if TFACC_SIMD_X86
 
-bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
+using kernels::round_clamp_avx2;
 
 // hot-path: allocation-free region — the batched softmax row runs inside the
 // attention inner loop; everything here writes caller-owned buffers only.
-
-/// rounding_shift_right(prod, s) + clamp for four int64 products — the same
-/// branchless reformulation as tensor/kernels.cpp's requantizer (valid for
-/// 1 <= s <= 48 and |prod| < 2^46; here |diff·mantissa| < 2^31·2^15).
-__attribute__((target("avx2"))) __m256i sm_round_clamp_avx2(
-    __m256i prod, __m256i bias, __m128i count, __m256i offset,
-    __m256i offset_shifted, __m256i lo, __m256i hi) {
-  const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), prod);
-  __m256i x = _mm256_add_epi64(_mm256_add_epi64(prod, bias), neg);
-  x = _mm256_sub_epi64(_mm256_srl_epi64(_mm256_add_epi64(x, offset), count),
-                       offset_shifted);
-  x = _mm256_blendv_epi8(x, hi, _mm256_cmpgt_epi64(x, hi));
-  x = _mm256_blendv_epi8(x, lo, _mm256_cmpgt_epi64(lo, x));
-  return x;
-}
 
 /// The EXP unit (exp_unit_q10's dyadic 4-segment PWL), 8 lanes at once.
 /// Lanes must be in [kExpMinArg, 0]; lanes at kExpMinArg produce 0 exactly
@@ -160,10 +139,11 @@ __attribute__((target("avx2"))) bool softmax_row_avx2(
     const __m256i pe = _mm256_mul_epi32(ds, mant);  // dwords 0,2,4,6
     const __m256i po = _mm256_mul_epi32(
         _mm256_shuffle_epi32(ds, _MM_SHUFFLE(3, 3, 1, 1)), mant);  // 1,3,5,7
-    const __m256i xe = sm_round_clamp_avx2(pe, cbias, ccount, coffset,
-                                           coff_sh, clo, chi);
-    const __m256i xo = sm_round_clamp_avx2(po, cbias, ccount, coffset,
-                                           coff_sh, clo, chi);
+    // |diff·mantissa| < 2^31·2^15, inside round_clamp_avx2's range.
+    const __m256i xe =
+        round_clamp_avx2(pe, cbias, ccount, coffset, coff_sh, clo, chi);
+    const __m256i xo =
+        round_clamp_avx2(po, cbias, ccount, coffset, coff_sh, clo, chi);
     const __m256i x8 =
         _mm256_blend_epi32(xe, _mm256_slli_epi64(xo, 32), 0b10101010);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(x_q10 + j), x8);
@@ -235,7 +215,7 @@ __attribute__((target("avx2"))) bool softmax_row_avx2(
 
 // hot-path: region end
 
-#endif  // TFACC_SOFTMAX_X86
+#endif  // TFACC_SIMD_X86
 
 }  // namespace
 
@@ -268,13 +248,14 @@ void SoftmaxUnit::row(const std::int32_t* d, const std::uint8_t* mask, int n,
     x_q10_.resize(static_cast<std::size_t>(n));  // lint: allow(hot-path-alloc)
   std::int32_t* x_q10 = x_q10_.data();
 
-#if TFACC_SOFTMAX_X86
+#if TFACC_SIMD_X86
   // Batched row model (gprof hotspot #2): only the shipped dyadic design is
   // vectorized, and only where the requantizer reformulation is proven exact
-  // (1 ≤ shift ≤ 48; the int32-spread gate lives inside). kScalar/kBlocked
-  // keep the reference loop — this unit has no reduction to block.
-  if (!resolution_ && n >= 8 && to_q10_.shift >= 1 && to_q10_.shift <= 48 &&
-      kernels::selected() == kernels::Kind::kSimd && cpu_has_avx2() &&
+  // (the int32-spread gate lives inside). kScalar keeps the reference loop.
+  if (!resolution_ && n >= 8 &&
+      kernels::rounding_shift_vectorizable(to_q10_.shift) &&
+      kernels::selected() == kernels::Kind::kSimd &&
+      kernels::cpu_has_avx2() &&
       softmax_row_avx2(to_q10_, d, mask, n, x_q10, out))
     return;
 #endif

@@ -2,6 +2,26 @@
 
 namespace tfacc {
 
+namespace {
+
+/// Installs a backend on `model` for one scope and restores the previous
+/// one on every exit path, exceptions included — so a throwing calibration
+/// source cannot leave the model pointing at a destroyed CaptureStore.
+class ScopedBackend {
+ public:
+  ScopedBackend(Transformer& model, ResBlockBackend backend)
+      : model_(model), previous_(model.set_backend(std::move(backend))) {}
+  ~ScopedBackend() { model_.set_backend(std::move(previous_)); }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+
+ private:
+  Transformer& model_;
+  ResBlockBackend previous_;
+};
+
+}  // namespace
+
 ResBlockBackend capturing_backend(CaptureStore& store) {
   // Only the batch-style hooks capture; the cached-MHA hooks keep their
   // reference defaults, so drive this backend with
@@ -30,13 +50,14 @@ QuantizedTransformer QuantizedTransformer::build(
   TFACC_CHECK_ARG(!calib_sources.empty());
 
   CaptureStore store;
-  model.set_backend(capturing_backend(store));
-  // Full recompute: the capturing backend only hooks the batch-style
-  // mha/ffn calls, and calibration wants the same growing-prefix inputs
-  // deployment's batch ResBlocks would see.
-  for (const auto& src : calib_sources)
-    model.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
-  model.set_backend(ResBlockBackend{});
+  {
+    const ScopedBackend capture(model, capturing_backend(store));
+    // Full recompute: the capturing backend only hooks the batch-style
+    // mha/ffn calls, and calibration wants the same growing-prefix inputs
+    // deployment's batch ResBlocks would see.
+    for (const auto& src : calib_sources)
+      model.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
+  }
 
   // Quantize in first-capture order, not hash-map order: the maps are keyed
   // by weight addresses, and iterating them would make the build sequence
@@ -118,10 +139,8 @@ TokenSeq QuantizedTransformer::translate_greedy(Transformer& model,
                                                 const TokenSeq& src,
                                                 int max_len,
                                                 DecodeMode mode) const {
-  model.set_backend(backend());
-  TokenSeq out = model.translate_greedy(src, max_len, mode);
-  model.set_backend(ResBlockBackend{});
-  return out;
+  const ScopedBackend quantized(model, backend());
+  return model.translate_greedy(src, max_len, mode);
 }
 
 }  // namespace tfacc

@@ -39,7 +39,8 @@ ResBlockBackend capturing_backend(CaptureStore& store);
 class QuantizedTransformer {
  public:
   /// Calibrate by greedily translating `calib_sources` with the FP32 model,
-  /// then quantize every block.
+  /// then quantize every block. The model's backend is restored on return,
+  /// including when a source throws.
   static QuantizedTransformer build(Transformer& model,
                                     const std::vector<TokenSeq>& calib_sources,
                                     int max_len, SoftmaxImpl impl,
@@ -55,7 +56,7 @@ class QuantizedTransformer {
   const FfnQuantized& ffn_for(const FfnWeights& w) const;
 
   /// Convenience: translate with the quantized backend installed, restoring
-  /// the model's previous (FP32) backend afterwards.
+  /// the model's previous backend afterwards (also when translation throws).
   TokenSeq translate_greedy(Transformer& model, const TokenSeq& src,
                             int max_len,
                             DecodeMode mode = DecodeMode::kKvCache) const;

@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -94,8 +95,11 @@ class Transformer {
 
   const TransformerWeights& weights() const { return weights_; }
 
-  /// Replace the ResBlock implementations (e.g. with the accelerator).
-  void set_backend(ResBlockBackend backend) { backend_ = std::move(backend); }
+  /// Replace the ResBlock implementations (e.g. with the accelerator);
+  /// returns the ones replaced.
+  ResBlockBackend set_backend(ResBlockBackend backend) {
+    return std::exchange(backend_, std::move(backend));
+  }
 
   /// Embed + positional-encode a token sequence (s × d_model). The
   /// positional table grows on demand — sequences are not capped at the

@@ -7,15 +7,8 @@
 
 #include "common/check.hpp"
 #include "common/fixed_point.hpp"
+#include "tensor/simd_x86.hpp"
 
-// Intrinsics headers are safe to include without -march flags; the AVX2
-// paths are compiled per-function via __attribute__((target("avx2"))) and
-// only ever *called* after a runtime __builtin_cpu_supports check, so the
-// binary stays runnable on any x86-64 host.
-#if defined(__x86_64__) || defined(__i386__)
-#define TFACC_KERNELS_X86 1
-#include <immintrin.h>
-#endif
 #if defined(__aarch64__) && defined(__ARM_NEON)
 #define TFACC_KERNELS_NEON 1
 #include <arm_neon.h>
@@ -25,21 +18,13 @@ namespace tfacc::kernels {
 
 namespace {
 
-#if TFACC_KERNELS_X86
-bool cpu_has_avx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
-#endif
-
 Kind kind_from_env_or_default() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* spec = std::getenv("TFACC_KERNEL");
   if (spec == nullptr || *spec == '\0') return Kind::kSimd;
   Kind kind = Kind::kSimd;
   TFACC_CHECK_ARG_MSG(parse_kind(spec, &kind),
-                      "TFACC_KERNEL='" << spec
-                                       << "' (want scalar|blocked|simd)");
+                      "TFACC_KERNEL='" << spec << "' (want scalar|simd)");
   return kind;
 }
 
@@ -64,8 +49,9 @@ std::atomic<Kind>& kind_slot() {
 
 // ---------------------------------------------------------------------------
 // Scalar kernels: the original tensor/ops triple loops, verbatim. These are
-// the semantic reference every other kind must match bit-for-bit, and the
-// "before" side of the wall-clock speedup gate.
+// the semantic reference every vector path must match bit-for-bit, the
+// fallback wherever a host has no vector path, and the "before" side of the
+// wall-clock speedup gate.
 // ---------------------------------------------------------------------------
 
 // hot-path: allocation-free region — every kernel in this namespace runs
@@ -165,134 +151,6 @@ void layernorm_finish_scalar(const std::int16_t* g, int n, std::int64_t sum,
 }
 
 // ---------------------------------------------------------------------------
-// Blocked kernels: plain C++, always available. gemm blocks over a 4-row
-// strip of A so each streamed B row is reused 4× from registers/L1; each
-// output element still accumulates in ascending-p order with a single
-// accumulator, so the float results are bit-identical to scalar. The dot
-// kernels (packed / nt) unroll the reduction 4-way — integer-only, where
-// reassociation is exact.
-// ---------------------------------------------------------------------------
-
-template <typename T, typename Acc>
-void gemm_blocked(const Matrix<T>& a, const Matrix<T>& b, Matrix<Acc>& out) {
-  constexpr int kRowStrip = 4;
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  for (int i0 = 0; i0 < m; i0 += kRowStrip) {
-    const int strip = i0 + kRowStrip <= m ? kRowStrip : m - i0;
-    for (int ii = 0; ii < strip; ++ii) {
-      Acc* orow = out.row(i0 + ii);
-      for (int j = 0; j < n; ++j) orow[j] = Acc{};
-    }
-    for (int p = 0; p < k; ++p) {
-      const T* brow = b.row(p);
-      for (int ii = 0; ii < strip; ++ii) {
-        const Acc av = a(i0 + ii, p);
-        Acc* orow = out.row(i0 + ii);
-        for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  }
-}
-
-/// Integer dot with a 4-way unrolled reduction (exact reassociation).
-template <typename T>
-std::int32_t dot_i32_blocked(const T* a, const T* b, int k) {
-  std::int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  int p = 0;
-  for (; p + 4 <= k; p += 4) {
-    s0 += static_cast<std::int32_t>(a[p]) * b[p];
-    s1 += static_cast<std::int32_t>(a[p + 1]) * b[p + 1];
-    s2 += static_cast<std::int32_t>(a[p + 2]) * b[p + 2];
-    s3 += static_cast<std::int32_t>(a[p + 3]) * b[p + 3];
-  }
-  std::int32_t sum = (s0 + s1) + (s2 + s3);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
-/// Float dot in strict ascending-p order (bit-identical to the scalar loop).
-float dot_f32_ordered(const float* a, const float* b, int k) {
-  float acc = 0.0f;
-  for (int p = 0; p < k; ++p) acc += a[p] * b[p];
-  return acc;
-}
-
-template <typename T>
-void gemm_nt_blocked(const Matrix<T>& a, const Matrix<T>& b, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const T* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < b.rows(); ++j)
-      orow[j] = dot_i32_blocked(arow, b.row(j), k);
-  }
-}
-
-void gemm_nt_blocked_f32(const MatF& a, const MatF& b, MatF& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (int j = 0; j < b.rows(); ++j)
-      orow[j] = dot_f32_ordered(arow, b.row(j), k);
-  }
-}
-
-template <typename T>
-void gemm_packed_blocked(const Matrix<T>& a, const PackedB<T>& bp,
-                         const std::int32_t* bias, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const T* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const std::int32_t seed = bias != nullptr ? bias[j] : 0;
-      orow[j] = seed + dot_i32_blocked(arow, bp.row(j), k);
-    }
-  }
-}
-
-/// Row-pointer requantize — same math as requantize_scalar, contiguous walk.
-template <typename OutT>
-void requantize_rows(const MatI32& acc, std::int32_t mantissa, int shift,
-                     Matrix<OutT>& out) {
-  const int n = acc.cols();
-  for (int r = 0; r < acc.rows(); ++r) {
-    const std::int32_t* in = acc.row(r);
-    OutT* o = out.row(r);
-    for (int c = 0; c < n; ++c)
-      o[c] = saturate_narrow<OutT>(rounding_shift_right(
-          static_cast<std::int64_t>(in[c]) * mantissa, shift));
-  }
-}
-
-/// 4-way unrolled LayerNorm accumulators — integer reassociation is exact.
-void layernorm_stats_blocked(const std::int16_t* g, int n, std::int64_t* sum,
-                             std::int64_t* sumsq) {
-  std::int64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  std::int64_t q0 = 0, q1 = 0, q2 = 0, q3 = 0;
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    s0 += g[j];
-    s1 += g[j + 1];
-    s2 += g[j + 2];
-    s3 += g[j + 3];
-    q0 += static_cast<std::int64_t>(g[j]) * g[j];
-    q1 += static_cast<std::int64_t>(g[j + 1]) * g[j + 1];
-    q2 += static_cast<std::int64_t>(g[j + 2]) * g[j + 2];
-    q3 += static_cast<std::int64_t>(g[j + 3]) * g[j + 3];
-  }
-  std::int64_t s = (s0 + s1) + (s2 + s3);
-  std::int64_t q = (q0 + q1) + (q2 + q3);
-  for (; j < n; ++j) {
-    s += g[j];
-    q += static_cast<std::int64_t>(g[j]) * g[j];
-  }
-  *sum = s;
-  *sumsq = q;
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 kernels (x86, runtime-dispatched). Integer reductions use
 // sign-extension to int16 + pmaddwd, which is exact for int8 operands
 // (|pair sum| ≤ 2·128² < 2³¹) and for quantized int16 operands. The f32
@@ -301,7 +159,7 @@ void layernorm_stats_blocked(const std::int16_t* g, int n, std::int64_t* sum,
 // the scalar path's per-element rounding.
 // ---------------------------------------------------------------------------
 
-#if TFACC_KERNELS_X86
+#if TFACC_SIMD_X86
 
 __attribute__((target("avx2"))) std::int32_t hsum_epi32(__m256i v) {
   __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
@@ -478,31 +336,10 @@ __attribute__((target("avx2"))) void gemm_i16_packed_avx2(const MatI16& a,
 }
 
 // --- AVX2 requantization ---------------------------------------------------
-// Branchless reformulation of rounding_shift_right(v·m, s) for s ≥ 1:
-//
-//   round(p, s) = (p + bias + (p < 0 ? −1 : 0)) >>ₐ s,   bias = 2^(s−1)
-//
-// (for p < 0, −((−p + bias) >> s) = floor((p − bias + 2^s − 1)/2^s) and
-// 2^s − 1 − bias = bias − 1). AVX2 has no 64-bit arithmetic shift, so it is
-// emulated: x >>ₐ s = ((x + 2^62) >>ₗ s) − 2^(62−s), valid while x + 2^62
-// stays in [0, 2^63). Here |p| = |v·m| < 2^31·2^15 = 2^46 and bias ≤ 2^47
-// (the dispatch only takes this path for 1 ≤ s ≤ 48), so |x| < 2^48. The
-// products come from _mm256_mul_epi32 on the even/odd 32-bit lanes — it
-// sign-extends the low dword of each 64-bit lane, which is exactly the
-// int32 accumulator value.
-
-/// Round, emulated-arithmetic-shift, and clamp four int64 products.
-__attribute__((target("avx2"))) __m256i requant_round_clamp_avx2(
-    __m256i prod, __m256i bias, __m128i count, __m256i offset,
-    __m256i offset_shifted, __m256i lo, __m256i hi) {
-  const __m256i neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), prod);
-  __m256i x = _mm256_add_epi64(_mm256_add_epi64(prod, bias), neg);
-  x = _mm256_sub_epi64(_mm256_srl_epi64(_mm256_add_epi64(x, offset), count),
-                       offset_shifted);
-  x = _mm256_blendv_epi8(x, hi, _mm256_cmpgt_epi64(x, hi));
-  x = _mm256_blendv_epi8(x, lo, _mm256_cmpgt_epi64(lo, x));
-  return x;
-}
+// round_clamp_avx2 (tensor/simd_x86.hpp) over the products v·m, |v·m| <
+// 2^31·2^15 = 2^46. The products come from _mm256_mul_epi32 on the even/odd
+// 32-bit lanes — it sign-extends the low dword of each 64-bit lane, which is
+// exactly the int32 accumulator value.
 
 /// Eight int32 lanes → eight clamped int32 results in lane order: multiply
 /// the even and odd dwords separately (mul_epi32 eats the low dword of each
@@ -514,10 +351,10 @@ __attribute__((target("avx2"))) __m256i requant_8lanes_avx2(
   const __m256i pe = _mm256_mul_epi32(x, mvec);  // dwords 0,2,4,6
   const __m256i po = _mm256_mul_epi32(
       _mm256_shuffle_epi32(x, _MM_SHUFFLE(3, 3, 1, 1)), mvec);  // 1,3,5,7
-  const __m256i re = requant_round_clamp_avx2(pe, bias, count, offset,
-                                              offset_shifted, lo, hi);
-  const __m256i ro = requant_round_clamp_avx2(po, bias, count, offset,
-                                              offset_shifted, lo, hi);
+  const __m256i re =
+      round_clamp_avx2(pe, bias, count, offset, offset_shifted, lo, hi);
+  const __m256i ro =
+      round_clamp_avx2(po, bias, count, offset, offset_shifted, lo, hi);
   return _mm256_blend_epi32(re, _mm256_slli_epi64(ro, 32), 0b10101010);
 }
 
@@ -667,13 +504,13 @@ __attribute__((target("avx2"))) void layernorm_finish_avx2(
         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(g + j)));
     const __m256i t = _mm256_sub_epi64(_mm256_mul_epi32(nvec, g64), sumv);
     const __m256i norm =
-        requant_round_clamp_avx2(_mm256_mul_epi32(t, mant), nbias, ncount,
-                                 offset, noff_sh, wide_lo, wide_hi);
+        round_clamp_avx2(_mm256_mul_epi32(t, mant), nbias, ncount, offset,
+                         noff_sh, wide_lo, wide_hi);
     const __m256i gq64 = _mm256_cvtepi32_epi64(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(gq + j)));
     const __m256i scaled =
-        requant_round_clamp_avx2(_mm256_mul_epi32(norm, gq64), gbias, gcount,
-                                 offset, goff_sh, wide_lo, wide_hi);
+        round_clamp_avx2(_mm256_mul_epi32(norm, gq64), gbias, gcount, offset,
+                         goff_sh, wide_lo, wide_hi);
     const __m256i bq64 = _mm256_cvtepi32_epi64(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(bq + j)));
     __m256i res = _mm256_add_epi64(scaled, bq64);
@@ -763,7 +600,7 @@ void gemm_f32_sse2(const MatF& a, const MatF& b, MatF& out) {
   }
 }
 
-#endif  // TFACC_KERNELS_X86
+#endif  // TFACC_SIMD_X86
 
 #if TFACC_KERNELS_NEON
 
@@ -837,8 +674,6 @@ const char* kind_name(Kind kind) {
   switch (kind) {
     case Kind::kScalar:
       return "scalar";
-    case Kind::kBlocked:
-      return "blocked";
     case Kind::kSimd:
       return "simd";
   }
@@ -849,7 +684,6 @@ bool parse_kind(const char* spec, Kind* out) {
   if (spec == nullptr || out == nullptr) return false;
   const std::string_view s(spec);
   if (s == "scalar") *out = Kind::kScalar;
-  else if (s == "blocked") *out = Kind::kBlocked;
   else if (s == "simd") *out = Kind::kSimd;
   else return false;
   return true;
@@ -868,7 +702,7 @@ Kind refresh_from_env() {
 }
 
 bool simd_available() {
-#if TFACC_KERNELS_X86
+#if TFACC_SIMD_X86
   return true;  // SSE2 is the x86-64 baseline; AVX2 upgraded at runtime
 #elif TFACC_KERNELS_NEON
   return true;
@@ -878,7 +712,7 @@ bool simd_available() {
 }
 
 const char* capability() {
-#if TFACC_KERNELS_X86
+#if TFACC_SIMD_X86
   return cpu_has_avx2() ? "avx2" : "sse2";
 #elif TFACC_KERNELS_NEON
   return "neon";
@@ -888,120 +722,79 @@ const char* capability() {
 }
 
 // --- Dispatch --------------------------------------------------------------
+// Each entry point runs its vector path when kSimd is selected and the host
+// has one, and the scalar reference otherwise.
+
+namespace {
+
+// Unused where the host has no vector path at all.
+[[maybe_unused]] bool simd_selected() { return selected() == Kind::kSimd; }
+
+}  // namespace
 
 void gemm_f32_into(const MatF& a, const MatF& b, MatF& out) {
   TFACC_CHECK_ARG(a.cols() == b.rows());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-      gemm_blocked(a, b, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_f32_avx2(a, b, out);
-        return;
-      }
-      gemm_f32_sse2(a, b, out);
-      return;
-#else
-      // NEON/generic: the blocked path keeps the scalar summation order;
-      // a NEON f32 path would risk FMA contraction differences.
-      gemm_blocked(a, b, out);
-      return;
-#endif
+#if TFACC_SIMD_X86
+  if (simd_selected()) {
+    if (cpu_has_avx2()) gemm_f32_avx2(a, b, out);
+    else gemm_f32_sse2(a, b, out);
+    return;
   }
+#endif
+  // NEON has no f32 path: it would risk FMA contraction changing the scalar
+  // path's per-element rounding.
+  gemm_scalar(a, b, out);
 }
 
 void gemm_i8_into(const MatI8& a, const MatI8& b, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == b.rows());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-      gemm_blocked(a, b, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_i8_avx2(a, b, out);
-        return;
-      }
-#endif
-      gemm_blocked(a, b, out);
-      return;
+#if TFACC_SIMD_X86
+  if (simd_selected() && cpu_has_avx2()) {
+    gemm_i8_avx2(a, b, out);
+    return;
   }
+#endif
+  gemm_scalar(a, b, out);
 }
 
 void gemm_i16_into(const MatI16& a, const MatI16& b, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == b.rows());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-      gemm_blocked(a, b, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_i16_avx2(a, b, out);
-        return;
-      }
-#endif
-      gemm_blocked(a, b, out);
-      return;
+#if TFACC_SIMD_X86
+  if (simd_selected() && cpu_has_avx2()) {
+    gemm_i16_avx2(a, b, out);
+    return;
   }
+#endif
+  gemm_scalar(a, b, out);
 }
 
 void gemm_nt_f32_into(const MatF& a, const MatF& b, MatF& out) {
   TFACC_CHECK_ARG(a.cols() == b.cols());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.rows());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_nt_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-    case Kind::kSimd:
-      // The f32 reduction must keep one accumulator in ascending-p order to
-      // stay bit-identical, so the "fast" kinds share the blocked layout.
-      gemm_nt_blocked_f32(a, b, out);
-      return;
-  }
+  // The f32 reduction must keep one accumulator in ascending-p order to stay
+  // bit-identical, so both kinds run the scalar loop.
+  gemm_nt_scalar(a, b, out);
 }
 
 void gemm_nt_i8_into(const MatI8& a, const MatI8& b, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == b.cols());
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == b.rows());
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_nt_scalar(a, b, out);
-      return;
-    case Kind::kBlocked:
-      gemm_nt_blocked(a, b, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_nt_i8_avx2(a, b, out);
-        return;
-      }
-      gemm_nt_i8_sse2(a, b, out);
-      return;
-#elif TFACC_KERNELS_NEON
-      gemm_nt_i8_neon(a, b, out);
-      return;
-#else
-      gemm_nt_blocked(a, b, out);
-      return;
-#endif
+#if TFACC_SIMD_X86
+  if (simd_selected()) {
+    if (cpu_has_avx2()) gemm_nt_i8_avx2(a, b, out);
+    else gemm_nt_i8_sse2(a, b, out);
+    return;
   }
+#elif TFACC_KERNELS_NEON
+  if (simd_selected()) {
+    gemm_nt_i8_neon(a, b, out);
+    return;
+  }
+#endif
+  gemm_nt_scalar(a, b, out);
 }
 
 namespace {
@@ -1010,29 +803,19 @@ void gemm_i8_packed_dispatch(const MatI8& a, const PackedI8& bp,
                              const std::int32_t* bias, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == bp.k);
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_packed_scalar(a, bp, bias, out);
-      return;
-    case Kind::kBlocked:
-      gemm_packed_blocked(a, bp, bias, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_i8_packed_avx2(a, bp, bias, out);
-        return;
-      }
-      gemm_i8_packed_sse2(a, bp, bias, out);
-      return;
-#elif TFACC_KERNELS_NEON
-      gemm_i8_packed_neon(a, bp, bias, out);
-      return;
-#else
-      gemm_packed_blocked(a, bp, bias, out);
-      return;
-#endif
+#if TFACC_SIMD_X86
+  if (simd_selected()) {
+    if (cpu_has_avx2()) gemm_i8_packed_avx2(a, bp, bias, out);
+    else gemm_i8_packed_sse2(a, bp, bias, out);
+    return;
   }
+#elif TFACC_KERNELS_NEON
+  if (simd_selected()) {
+    gemm_i8_packed_neon(a, bp, bias, out);
+    return;
+  }
+#endif
+  gemm_packed_scalar(a, bp, bias, out);
 }
 
 }  // namespace
@@ -1051,94 +834,54 @@ void gemm_i8_packed_bias_into(const MatI8& a, const PackedI8& bp,
 void gemm_i16_packed_into(const MatI16& a, const PackedI16& bp, MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == bp.k);
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
-  switch (selected()) {
-    case Kind::kScalar:
-      gemm_packed_scalar(a, bp, nullptr, out);
-      return;
-    case Kind::kBlocked:
-      gemm_packed_blocked(a, bp, nullptr, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        gemm_i16_packed_avx2(a, bp, out);
-        return;
-      }
-#elif TFACC_KERNELS_NEON
-      gemm_i16_packed_neon(a, bp, out);
-      return;
-#endif
-      gemm_packed_blocked(a, bp, nullptr, out);
-      return;
+#if TFACC_SIMD_X86
+  if (simd_selected() && cpu_has_avx2()) {
+    gemm_i16_packed_avx2(a, bp, out);
+    return;
   }
+#elif TFACC_KERNELS_NEON
+  if (simd_selected()) {
+    gemm_i16_packed_neon(a, bp, out);
+    return;
+  }
+#endif
+  gemm_packed_scalar(a, bp, nullptr, out);
 }
 
 void requantize_i8_into(const MatI32& acc, std::int32_t mantissa, int shift,
                         MatI8& out) {
   TFACC_CHECK_ARG(out.rows() == acc.rows() && out.cols() == acc.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      requantize_scalar(acc, mantissa, shift, out);
-      return;
-    case Kind::kBlocked:
-      requantize_rows(acc, mantissa, shift, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      // The branchless AVX2 reformulation needs shift ≥ 1, and its emulated
-      // arithmetic shift needs bias ≤ 2^47 (see the kernel's comment).
-      if (cpu_has_avx2() && shift >= 1 && shift <= 48) {
-        requantize_i8_avx2(acc, mantissa, shift, out);
-        return;
-      }
-#endif
-      requantize_rows(acc, mantissa, shift, out);
-      return;
+#if TFACC_SIMD_X86
+  if (simd_selected() && cpu_has_avx2() && rounding_shift_vectorizable(shift)) {
+    requantize_i8_avx2(acc, mantissa, shift, out);
+    return;
   }
+#endif
+  requantize_scalar(acc, mantissa, shift, out);
 }
 
 void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
                          MatI16& out) {
   TFACC_CHECK_ARG(out.rows() == acc.rows() && out.cols() == acc.cols());
-  switch (selected()) {
-    case Kind::kScalar:
-      requantize_scalar(acc, mantissa, shift, out);
-      return;
-    case Kind::kBlocked:
-      requantize_rows(acc, mantissa, shift, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2() && shift >= 1 && shift <= 48) {
-        requantize_i16_avx2(acc, mantissa, shift, out);
-        return;
-      }
-#endif
-      requantize_rows(acc, mantissa, shift, out);
-      return;
+#if TFACC_SIMD_X86
+  if (simd_selected() && cpu_has_avx2() && rounding_shift_vectorizable(shift)) {
+    requantize_i16_avx2(acc, mantissa, shift, out);
+    return;
   }
+#endif
+  requantize_scalar(acc, mantissa, shift, out);
 }
 
 void layernorm_stats(const std::int16_t* g, int n, std::int64_t* sum,
                      std::int64_t* sumsq) {
   TFACC_CHECK_ARG(n >= 0);
-  switch (selected()) {
-    case Kind::kScalar:
-      layernorm_stats_scalar(g, n, sum, sumsq);
-      return;
-    case Kind::kBlocked:
-      layernorm_stats_blocked(g, n, sum, sumsq);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      if (cpu_has_avx2()) {
-        layernorm_stats_avx2(g, n, sum, sumsq);
-        return;
-      }
-#endif
-      layernorm_stats_blocked(g, n, sum, sumsq);
-      return;
+#if TFACC_SIMD_X86
+  if (simd_selected() && cpu_has_avx2()) {
+    layernorm_stats_avx2(g, n, sum, sumsq);
+    return;
   }
+#endif
+  layernorm_stats_scalar(g, n, sum, sumsq);
 }
 
 void layernorm_finish_into(const std::int16_t* g, int n, std::int64_t sum,
@@ -1146,29 +889,18 @@ void layernorm_finish_into(const std::int16_t* g, int n, std::int64_t sum,
                            int gamma_shift, const std::int32_t* gq,
                            const std::int32_t* bq, std::int8_t* out) {
   TFACC_CHECK_ARG(n >= 0);
-  switch (selected()) {
-    case Kind::kScalar:
-    case Kind::kBlocked:
-      // The finish loop is per-element with no reduction — nothing to block,
-      // so kBlocked shares the scalar reference loop.
-      layernorm_finish_scalar(g, n, sum, rs_mantissa, norm_shift, gamma_shift,
-                              gq, bq, out);
-      return;
-    case Kind::kSimd:
-#if TFACC_KERNELS_X86
-      // t = n·g − sum must fit the int32 low dword (n ≤ 2¹⁴ bounds |t| ≤ 2³⁰)
-      // and both emulated arithmetic shifts need 1 ≤ s ≤ 48 (see requantize).
-      if (cpu_has_avx2() && n <= 16384 && norm_shift >= 1 && norm_shift <= 48 &&
-          gamma_shift >= 1 && gamma_shift <= 48) {
-        layernorm_finish_avx2(g, n, sum, rs_mantissa, norm_shift, gamma_shift,
-                              gq, bq, out);
-        return;
-      }
-#endif
-      layernorm_finish_scalar(g, n, sum, rs_mantissa, norm_shift, gamma_shift,
-                              gq, bq, out);
-      return;
+#if TFACC_SIMD_X86
+  // t = n·g − sum must fit the int32 low dword (n ≤ 2¹⁴ bounds |t| ≤ 2³⁰).
+  if (simd_selected() && cpu_has_avx2() && n <= 16384 &&
+      rounding_shift_vectorizable(norm_shift) &&
+      rounding_shift_vectorizable(gamma_shift)) {
+    layernorm_finish_avx2(g, n, sum, rs_mantissa, norm_shift, gamma_shift, gq,
+                          bq, out);
+    return;
   }
+#endif
+  layernorm_finish_scalar(g, n, sum, rs_mantissa, norm_shift, gamma_shift, gq,
+                          bq, out);
 }
 
 }  // namespace tfacc::kernels

@@ -1,30 +1,29 @@
-// Blocked / SIMD GEMM microkernels behind a runtime-checked dispatch table
-// (PR 8).
+// SIMD GEMM microkernels behind a runtime-checked dispatch table.
 //
-// Three implementations of every GEMM, selectable per process:
+// Two implementations of every GEMM, selectable per process:
 //
 //   kind      | implementation
 //   ----------|------------------------------------------------------------
 //   kScalar   | the original tensor/ops triple loops, kept verbatim as the
 //             | reference semantics (and the perf baseline for the 2× gate)
-//   kBlocked  | plain C++, cache-blocked + unrolled; always available
 //   kSimd     | intrinsics (AVX2 / SSE2 / NEON) chosen by a *runtime* CPU
 //             | check — the binary is compiled without -march so it runs
-//             | anywhere; unsupported hosts fall back to kBlocked per op
+//             | anywhere; an op with no vector path on the host runs kScalar
 //
-// Selection: `TFACC_KERNEL=scalar|blocked|simd` (read once at first use),
+// Selection: `TFACC_KERNEL=scalar|simd` (read once at first use),
 // overridable with set_kind() for A/B benches and tests. Default is kSimd.
 //
 // Bit-identity contract (enforced by tests/test_kernels.cpp and the
 // cross-backend equivalence suites):
 //  * Integer kernels (int8→int32, int16→int32) are exact — integer addition
-//    is associative, so any blocking/vectorization reorder is bit-identical.
+//    is associative, so any vectorization reorder is bit-identical.
 //    int16 inputs must keep |Σ a·b| within int32 (quantized values do).
 //  * Float kernels preserve the scalar path's per-element summation order
 //    (ascending p, one accumulator per output element, no FMA contraction),
-//    so all three kinds produce bit-identical floats — tolerance 0, pinned
-//    explicitly in the tests. This is why the f32 Q·Kᵀ kernel vectorizes
-//    across output columns rather than across the reduction.
+//    so both kinds produce bit-identical floats — tolerance 0, pinned
+//    explicitly in the tests. This is why the f32 GEMM vectorizes across
+//    output columns rather than across the reduction, and why the f32 Q·Kᵀ
+//    kernel (contiguous only along the reduction) runs the scalar loop.
 //
 // The *_into kernels write a pre-shaped `out` and perform no allocation —
 // they are the hot-path seam under decode_step_batch.
@@ -38,11 +37,13 @@
 
 namespace tfacc::kernels {
 
-enum class Kind { kScalar, kBlocked, kSimd };
+/// The values are pinned: kSimd keeps 2 from when a third kind sat at 1, so
+/// the ctest names gtest derives from the parameter bytes stay stable.
+enum class Kind { kScalar = 0, kSimd = 2 };
 
 const char* kind_name(Kind kind);
 
-/// Parse "scalar" | "blocked" | "simd"; returns false on anything else.
+/// Parse "scalar" | "simd"; returns false on anything else.
 bool parse_kind(const char* spec, Kind* out);
 
 /// The process-wide selected kernel (TFACC_KERNEL env var, default simd).
@@ -73,7 +74,7 @@ void gemm_i8_into(const MatI8& a, const MatI8& b, MatI32& out);
 /// C = A·B, int16 operands, int32 accumulation. Exact within int32 range.
 void gemm_i16_into(const MatI16& a, const MatI16& b, MatI32& out);
 
-/// C = A·Bᵀ, float (attention scores). Scalar summation order in all kinds.
+/// C = A·Bᵀ, float (attention scores). Both kinds run the scalar loop.
 void gemm_nt_f32_into(const MatF& a, const MatF& b, MatF& out);
 
 /// C = A·Bᵀ, int8 operands, int32 accumulation. Exact.
@@ -97,8 +98,9 @@ void gemm_i16_packed_into(const MatI16& a, const PackedI16& bp, MatI32& out);
 // out = saturate(round((acc · mantissa) >> shift)) per element — the hardware
 // requantizer (FixedPointScale::apply_i8/apply_i16) over a whole accumulator
 // matrix. The rounding is half-away-from-zero, exactly like
-// rounding_shift_right; all kinds are bit-identical (the AVX2 path uses a
-// branchless reformulation proven equal for shift ≥ 1, scalar otherwise).
+// rounding_shift_right; both kinds are bit-identical (the AVX2 path uses a
+// branchless reformulation proven equal for 1 ≤ shift ≤ 48, scalar
+// otherwise — see tensor/simd_x86.hpp).
 
 /// out(r,c) = FixedPointScale{mantissa, shift}.apply_i8(acc(r,c)).
 void requantize_i8_into(const MatI32& acc, std::int32_t mantissa, int shift,
@@ -110,11 +112,11 @@ void requantize_i16_into(const MatI32& acc, std::int32_t mantissa, int shift,
 
 // --- Dispatched LayerNorm row kernels --------------------------------------
 // The fixed-point LayerNorm datapath of hwarith/layernorm_unit.cpp, split
-// into its two row loops so the hot serve path can run them blocked/SIMD.
-// Integer-exact in every kind: the stats loop is a pure integer reduction
+// into its two row loops so the hot serve path can vectorize them.
+// Integer-exact in both kinds: the stats loop is a pure integer reduction
 // (associative), and the finish loop is per-element independent — the AVX2
 // variant reuses the requantizer's branchless rounding-shift reformulation,
-// proven equal for 1 <= shift <= 48 (blocked fallback otherwise).
+// proven equal for 1 <= shift <= 48 (scalar fallback otherwise).
 
 /// ΣG and ΣG² of one n-wide INT16 row (Fig. 7 step 1 accumulators).
 void layernorm_stats(const std::int16_t* g, int n, std::int64_t* sum,

@@ -4,10 +4,10 @@
 
 namespace tfacc {
 
-// The GEMM entry points delegate to the PR 8 dispatch table
-// (tensor/kernels.hpp): TFACC_KERNEL selects scalar / blocked / SIMD, and
-// every kind is bit-identical (integer accumulation is exact; the float
-// kernels pin the scalar summation order).
+// The GEMM entry points delegate to the dispatch table
+// (tensor/kernels.hpp): TFACC_KERNEL selects scalar or SIMD, and both kinds
+// are bit-identical (integer accumulation is exact; the float kernels pin
+// the scalar summation order).
 
 MatF gemm(const MatF& a, const MatF& b) {
   TFACC_CHECK_ARG_MSG(a.cols() == b.rows(), "gemm: " << a.rows() << 'x'

@@ -1,4 +1,4 @@
-// Pre-packed B operands for the blocked GEMM kernels (PR 8).
+// Pre-packed B operands for the packed GEMM kernels.
 //
 // The SA-style GEMMs all compute C = A·B where B is a weight matrix that is
 // quantized once at load time and then read on every step. Packing B as Bᵀ

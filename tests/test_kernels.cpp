@@ -1,9 +1,9 @@
-// PR 8 kernel suite: the blocked/SIMD GEMM dispatch must be bit-identical to
-// the scalar reference on every shape (ragged tails, 1×1, empty edges), the
-// packed-B layout must round-trip and stay cache-line aligned, the
-// TFACC_KERNEL knob must parse/refresh correctly, and — the tentpole
-// invariant — a warm packed decode step must perform ZERO heap allocations
-// on all three backends (enforced with a global operator-new counter).
+// Kernel suite: the SIMD GEMM dispatch must be bit-identical to the scalar
+// reference on every shape (ragged tails, 1×1, empty edges), the packed-B
+// layout must round-trip and stay cache-line aligned, the TFACC_KERNEL knob
+// must parse/refresh correctly, and — the central invariant — a warm
+// packed decode step must perform ZERO heap allocations on all three
+// backends (enforced with a global operator-new counter).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -330,7 +330,7 @@ TEST_P(KernelEquivalence, LayerNormRowsMatchScalarBitExact) {
 }
 
 TEST_P(KernelEquivalence, LayerNormFinishFallbackEdges) {
-  // Outside the AVX2 gate every kind must detour to the scalar loop:
+  // Outside the AVX2 gate the simd selection must detour to the scalar loop:
   // n > 16384, shift 0, left shifts (norm_shift < 0), and shifts > 48.
   // Magnitudes are kept small so the left-shifted intermediates stay exact.
   const std::vector<LayerNormCase> big_n = {{20, 7, 1000, 1 << 20}};
@@ -344,17 +344,16 @@ TEST_P(KernelEquivalence, LayerNormFinishFallbackEdges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, KernelEquivalence,
-                         ::testing::Values(kernels::Kind::kBlocked,
-                                           kernels::Kind::kSimd),
+                         ::testing::Values(kernels::Kind::kSimd),
                          [](const auto& info) {
                            return std::string(kernels::kind_name(info.param));
                          });
 
 // --- Softmax row model (PR 9) -----------------------------------------------
 // The batched AVX2 row path inside SoftmaxUnit::row dispatches off the same
-// kernel knob; every selection must produce bit-identical INT8 probability
-// rows, including the gates that force the scalar stages: n < 8, a fully
-// masked row, and an unmasked spread wider than int32.
+// kernel knob; the simd selection must produce INT8 probability rows
+// bit-identical to scalar, including the gates that force the scalar stages:
+// n < 8, a fully masked row, and an unmasked spread wider than int32.
 
 TEST(SoftmaxRowDispatch, RowsMatchScalarBitExact) {
   Rng rng(2718);
@@ -382,16 +381,13 @@ TEST(SoftmaxRowDispatch, RowsMatchScalarBitExact) {
           KindGuard g(kernels::Kind::kScalar);
           unit.row(d.data(), mask.data(), n, want.data());
         }
-        for (const kernels::Kind kind :
-             {kernels::Kind::kBlocked, kernels::Kind::kSimd}) {
-          std::vector<std::int8_t> got(static_cast<std::size_t>(n));
-          KindGuard g(kind);
+        std::vector<std::int8_t> got(static_cast<std::size_t>(n));
+        {
+          KindGuard g(kernels::Kind::kSimd);
           unit.row(d.data(), mask.data(), n, got.data());
-          EXPECT_EQ(got, want)
-              << "softmax row, d_scale=" << d_scale << " n=" << n
-              << " flavor=" << flavor << " under "
-              << kernels::kind_name(kind);
         }
+        EXPECT_EQ(got, want) << "softmax row, d_scale=" << d_scale
+                             << " n=" << n << " flavor=" << flavor;
       }
     }
   }
@@ -440,28 +436,29 @@ TEST(KernelDispatch, ParsesKnownKindsOnly) {
   kernels::Kind k{};
   EXPECT_TRUE(kernels::parse_kind("scalar", &k));
   EXPECT_EQ(k, kernels::Kind::kScalar);
-  EXPECT_TRUE(kernels::parse_kind("blocked", &k));
-  EXPECT_EQ(k, kernels::Kind::kBlocked);
   EXPECT_TRUE(kernels::parse_kind("simd", &k));
   EXPECT_EQ(k, kernels::Kind::kSimd);
+  EXPECT_FALSE(kernels::parse_kind("blocked", &k));  // deleted kind
   EXPECT_FALSE(kernels::parse_kind("avx512", &k));
   EXPECT_FALSE(kernels::parse_kind("", &k));
 }
 
 TEST(KernelDispatch, SetKindOverridesSelection) {
-  KindGuard g(kernels::Kind::kBlocked);
-  EXPECT_EQ(kernels::selected(), kernels::Kind::kBlocked);
-  kernels::set_kind(kernels::Kind::kScalar);
+  KindGuard g(kernels::Kind::kScalar);
   EXPECT_EQ(kernels::selected(), kernels::Kind::kScalar);
+  kernels::set_kind(kernels::Kind::kSimd);
+  EXPECT_EQ(kernels::selected(), kernels::Kind::kSimd);
 }
 
 TEST(KernelDispatch, RefreshFromEnvReadsTheKnob) {
   const kernels::Kind saved = kernels::selected();
-  ASSERT_EQ(setenv("TFACC_KERNEL", "blocked", 1), 0);
-  EXPECT_EQ(kernels::refresh_from_env(), kernels::Kind::kBlocked);
-  EXPECT_EQ(kernels::selected(), kernels::Kind::kBlocked);
-  ASSERT_EQ(setenv("TFACC_KERNEL", "warp-drive", 1), 0);
-  EXPECT_THROW(kernels::refresh_from_env(), CheckError);
+  ASSERT_EQ(setenv("TFACC_KERNEL", "scalar", 1), 0);
+  EXPECT_EQ(kernels::refresh_from_env(), kernels::Kind::kScalar);
+  EXPECT_EQ(kernels::selected(), kernels::Kind::kScalar);
+  for (const char* bad : {"blocked", "warp-drive"}) {
+    ASSERT_EQ(setenv("TFACC_KERNEL", bad, 1), 0);
+    EXPECT_THROW(kernels::refresh_from_env(), CheckError) << bad;
+  }
   ASSERT_EQ(unsetenv("TFACC_KERNEL"), 0);
   EXPECT_EQ(kernels::refresh_from_env(), kernels::Kind::kSimd);  // default
   kernels::set_kind(saved);
@@ -586,7 +583,6 @@ TEST_P(ZeroAllocStep, AcceleratorBackendFusedStep) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, ZeroAllocStep,
                          ::testing::Values(kernels::Kind::kScalar,
-                                           kernels::Kind::kBlocked,
                                            kernels::Kind::kSimd),
                          [](const auto& info) {
                            return std::string(kernels::kind_name(info.param));

@@ -72,6 +72,49 @@ TEST(QuantizedTransformer, UnknownBlockThrows) {
   EXPECT_THROW(qt.mha_for(stranger), CheckError);
 }
 
+/// The FP32 reference with every FFN call counted: a stand-in for a custom
+/// backend whose presence after a call is observable.
+ResBlockBackend counting_backend(int& ffn_calls) {
+  ResBlockBackend b;
+  b.ffn = [&ffn_calls](const MatF& x, const FfnWeights& w) {
+    ++ffn_calls;
+    return ffn_resblock(x, w);
+  };
+  return b;
+}
+
+TEST(QuantizedTransformer, ThrowingCalibrationLeavesModelLikeFresh) {
+  Rng rng(7);
+  const TransformerWeights weights =
+      TransformerWeights::random(hw_tiny(), 20, rng);
+  Transformer model(weights);
+  // The second source's token is out of vocabulary, so calibration throws
+  // after the capturing backend has already recorded the first source.
+  EXPECT_THROW(QuantizedTransformer::build(model, {{3, 4, 5}, {99999}}, 6,
+                                           SoftmaxImpl::kHardware),
+               CheckError);
+  const Transformer fresh(weights);
+  for (const DecodeMode mode :
+       {DecodeMode::kKvCache, DecodeMode::kFullRecompute})
+    EXPECT_EQ(model.translate_greedy({3, 4, 5}, 6, mode),
+              fresh.translate_greedy({3, 4, 5}, 6, mode));
+}
+
+TEST(QuantizedTransformer, BuildRestoresTheInstalledBackend) {
+  Rng rng(8);
+  Transformer model = make_model(20, rng);
+  int ffn_calls = 0;
+  model.set_backend(counting_backend(ffn_calls));
+  (void)QuantizedTransformer::build(model, {{3, 4, 5}}, 6,
+                                    SoftmaxImpl::kHardware);
+  EXPECT_THROW(QuantizedTransformer::build(model, {{3, 4}, {99999}}, 6,
+                                           SoftmaxImpl::kHardware),
+               CheckError);
+  EXPECT_EQ(ffn_calls, 0);  // calibration ran on the capturing backend
+  model.translate_greedy({3, 4}, 6);
+  EXPECT_GT(ffn_calls, 0);
+}
+
 TEST(QuantizedTransformer, TranslateRestoresBackend) {
   Rng rng(4);
   Transformer model = make_model(20, rng);
@@ -81,6 +124,14 @@ TEST(QuantizedTransformer, TranslateRestoresBackend) {
   qt.translate_greedy(model, {3, 4}, 6);
   // After the quantized call the FP32 backend must be active again.
   EXPECT_EQ(model.translate_greedy({3, 4}, 6), fp32_before);
+
+  // A custom backend installed before the call is the one restored.
+  int ffn_calls = 0;
+  model.set_backend(counting_backend(ffn_calls));
+  qt.translate_greedy(model, {3, 4}, 6);
+  EXPECT_EQ(ffn_calls, 0);  // the quantized backend served the call
+  model.translate_greedy({3, 4}, 6);
+  EXPECT_GT(ffn_calls, 0);
 }
 
 TEST(AcceleratorBackend, AgreesWithQuantizedBackendBitForBit) {
