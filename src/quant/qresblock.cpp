@@ -294,20 +294,6 @@ MatI8 MhaQuantized::forward_cached(const MatI8& q, const QuantKvCache& cache,
   return mha_output_stage(*this, q, p);
 }
 
-std::vector<QuantKvCache*> quant_kv_caches(
-    const std::vector<MhaCache*>& caches) {
-  std::vector<QuantKvCache*> kv(caches.size());
-  for (std::size_t i = 0; i < caches.size(); ++i)
-    kv[i] = &dynamic_cast<QuantKvCache&>(*caches[i]);
-  return kv;
-}
-
-std::vector<const Mask*> mask_ptrs(const std::vector<Mask>& masks) {
-  std::vector<const Mask*> out(masks.size());
-  for (std::size_t i = 0; i < masks.size(); ++i) out[i] = &masks[i];
-  return out;
-}
-
 BatchHookScratch& batch_hook_scratch() {
   thread_local BatchHookScratch s;
   return s;

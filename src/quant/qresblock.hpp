@@ -198,14 +198,6 @@ struct FfnQuantized {
   }
 };
 
-/// Downcast a backend hook's cache list to the INT8 caches (throws on a
-/// foreign cache type) — shared marshalling of the packed mha_cached_batch
-/// hooks in qtransformer and core/backend.
-std::vector<QuantKvCache*> quant_kv_caches(
-    const std::vector<MhaCache*>& caches);
-/// Address-of view of a hook's mask list, as forward_cached_batch consumes.
-std::vector<const Mask*> mask_ptrs(const std::vector<Mask>& masks);
-
 /// Thread-local marshalling scratch for the packed decode hooks: the
 /// cache/mask pointer views and the per-slot totals are rebuilt every step,
 /// but their buffers persist, so a warm step's hook does zero heap
@@ -219,11 +211,14 @@ struct BatchHookScratch {
 };
 BatchHookScratch& batch_hook_scratch();
 
-/// quant_kv_caches + the const view, into `s.kv` / `s.ckv` (no allocation
-/// once warm).
+/// Downcast a hook's cache list to the INT8 caches (throws on a foreign
+/// cache type), into `s.kv` plus the const view `s.ckv` (no allocation once
+/// warm) — shared marshalling of the packed mha_cached_batch hooks in
+/// qtransformer and core/backend.
 void quant_kv_caches_into(const std::vector<MhaCache*>& caches,
                           BatchHookScratch& s);
-/// mask_ptrs into `s.masks` (no allocation once warm).
+/// Address-of view of a hook's mask list, as forward_cached_batch consumes,
+/// into `s.masks` (no allocation once warm).
 void mask_ptrs_into(const std::vector<Mask>& masks, BatchHookScratch& s);
 
 /// Saturating INT16 residual add: sat16(a + b) elementwise.

@@ -1,26 +1,55 @@
 #include "quant/qtransformer.hpp"
 
+#include <optional>
+
 namespace tfacc {
 
 namespace {
 
-/// Installs a backend on `model` for one scope and restores the previous
-/// one on every exit path, exceptions included — so a throwing calibration
-/// source cannot leave the model pointing at a destroyed CaptureStore.
-class ScopedBackend {
- public:
-  ScopedBackend(Transformer& model, ResBlockBackend backend)
-      : model_(model), previous_(model.set_backend(std::move(backend))) {}
-  ~ScopedBackend() { model_.set_backend(std::move(previous_)); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
+// Calls mha(block, slot) for every MHA block of `weights`, then
+// ffn(block, slot) for every FFN block, each kind in model order: the order
+// one forward pass first reaches them, encoder layers first, then each
+// decoder layer's self- before its cross-attention. Slots count each kind
+// from 0; they index CaptureStore and QuantizedTransformer. (Building every
+// MHA block before any FFN block also keeps the build's peak memory low.)
+template <typename MhaFn, typename FfnFn>
+void for_each_block(const TransformerWeights& weights, MhaFn&& mha,
+                    FfnFn&& ffn) {
+  std::size_t slot = 0;
+  for (const auto& layer : weights.encoder_layers) mha(layer.mha, slot++);
+  for (const auto& layer : weights.decoder_layers) {
+    mha(layer.self_mha, slot++);
+    mha(layer.cross_mha, slot++);
+  }
+  slot = 0;
+  for (const auto& layer : weights.encoder_layers) ffn(layer.ffn, slot++);
+  for (const auto& layer : weights.decoder_layers) ffn(layer.ffn, slot++);
+}
 
- private:
-  Transformer& model_;
-  ResBlockBackend previous_;
-};
+// Slot of `w` among the blocks of its kind, matched by address (no block
+// lies inside another, so only `w` itself can match): a block of other
+// weights (a copy of them included) throws CheckError.
+template <typename Block>
+std::size_t slot_of(const TransformerWeights& weights, const Block& w) {
+  std::optional<std::size_t> slot;
+  const auto match = [&](const auto& block, std::size_t i) {
+    if (static_cast<const void*>(&block) == &w) slot = i;
+  };
+  for_each_block(weights, match, match);
+  TFACC_CHECK_ARG_MSG(slot.has_value(),
+                      "ResBlock weights are not part of the calibrated model");
+  return *slot;
+}
 
 }  // namespace
+
+CaptureStore::CaptureStore(std::shared_ptr<const TransformerWeights> w)
+    : weights(std::move(w)) {
+  TFACC_CHECK_ARG(weights != nullptr);
+  for_each_block(
+      *weights, [this](const MhaWeights&, std::size_t) { mha.emplace_back(); },
+      [this](const FfnWeights&, std::size_t) { ffn.emplace_back(); });
+}
 
 ResBlockBackend capturing_backend(CaptureStore& store) {
   // Only the batch-style hooks capture; the cached-MHA hooks keep their
@@ -29,61 +58,55 @@ ResBlockBackend capturing_backend(CaptureStore& store) {
   ResBlockBackend b;
   b.mha = [&store](const MatF& q, const MatF& kv, const MhaWeights& w,
                    const Mask& mask) {
-    if (store.mha.find(&w) == store.mha.end()) store.mha_order.push_back(&w);
-    auto& calib = store.mha[&w];
+    auto& calib = store.mha[slot_of(*store.weights, w)];
     calib.q.push_back(q);
     calib.kv.push_back(kv);
     calib.mask.push_back(mask);
     return mha_resblock(q, kv, w, mask);
   };
   b.ffn = [&store](const MatF& x, const FfnWeights& w) {
-    if (store.ffn.find(&w) == store.ffn.end()) store.ffn_order.push_back(&w);
-    store.ffn[&w].push_back(x);
+    store.ffn[slot_of(*store.weights, w)].push_back(x);
     return ffn_resblock(x, w);
   };
   return b;
 }
 
 QuantizedTransformer QuantizedTransformer::build(
-    Transformer& model, const std::vector<TokenSeq>& calib_sources,
+    const Transformer& model, const std::vector<TokenSeq>& calib_sources,
     int max_len, SoftmaxImpl impl, CalibMethod method) {
   TFACC_CHECK_ARG(!calib_sources.empty());
 
-  CaptureStore store;
-  {
-    const ScopedBackend capture(model, capturing_backend(store));
-    // Full recompute: the capturing backend only hooks the batch-style
-    // mha/ffn calls, and calibration wants the same growing-prefix inputs
-    // deployment's batch ResBlocks would see.
-    for (const auto& src : calib_sources)
-      model.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
-  }
+  // Calibrate on a private model over the same weights, so the backend
+  // `model` holds plays no part. Full recompute: the capturing backend only
+  // hooks the batch-style mha/ffn calls, and calibration wants the same
+  // growing-prefix inputs deployment's batch ResBlocks would see.
+  CaptureStore store(model.shared_weights());
+  Transformer capture(store.weights);
+  capture.set_backend(capturing_backend(store));
+  for (const auto& src : calib_sources)
+    capture.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
 
-  // Quantize in first-capture order, not hash-map order: the maps are keyed
-  // by weight addresses, and iterating them would make the build sequence
-  // (and any diagnostics it emits) depend on allocator placement.
+  // A block that calibration never reached has no samples, and its build
+  // throws CheckError.
   QuantizedTransformer qt;
-  for (const MhaWeights* weights : store.mha_order)
-    qt.mha_.emplace(weights, MhaQuantized::build(*weights, store.mha.at(weights),
-                                                 impl, method));
-  for (const FfnWeights* weights : store.ffn_order)
-    qt.ffn_.emplace(weights, FfnQuantized::build(*weights,
-                                                 store.ffn.at(weights), method));
+  qt.weights_ = store.weights;
+  for_each_block(
+      *qt.weights_,
+      [&](const MhaWeights& w, std::size_t i) {
+        qt.mha_.push_back(MhaQuantized::build(w, store.mha[i], impl, method));
+      },
+      [&](const FfnWeights& w, std::size_t i) {
+        qt.ffn_.push_back(FfnQuantized::build(w, store.ffn[i], method));
+      });
   return qt;
 }
 
 const MhaQuantized& QuantizedTransformer::mha_for(const MhaWeights& w) const {
-  const auto it = mha_.find(&w);
-  TFACC_CHECK_ARG_MSG(it != mha_.end(),
-                      "MHA block was not seen during calibration");
-  return it->second;
+  return mha_[slot_of(*weights_, w)];
 }
 
 const FfnQuantized& QuantizedTransformer::ffn_for(const FfnWeights& w) const {
-  const auto it = ffn_.find(&w);
-  TFACC_CHECK_ARG_MSG(it != ffn_.end(),
-                      "FFN block was not seen during calibration");
-  return it->second;
+  return ffn_[slot_of(*weights_, w)];
 }
 
 ResBlockBackend QuantizedTransformer::backend() const {
@@ -135,12 +158,13 @@ ResBlockBackend QuantizedTransformer::backend() const {
   return b;
 }
 
-TokenSeq QuantizedTransformer::translate_greedy(Transformer& model,
+TokenSeq QuantizedTransformer::translate_greedy(const Transformer& model,
                                                 const TokenSeq& src,
                                                 int max_len,
                                                 DecodeMode mode) const {
-  const ScopedBackend quantized(model, backend());
-  return model.translate_greedy(src, max_len, mode);
+  Transformer quantized(model.shared_weights());
+  quantized.set_backend(backend());
+  return quantized.translate_greedy(src, max_len, mode);
 }
 
 }  // namespace tfacc

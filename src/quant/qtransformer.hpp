@@ -4,7 +4,7 @@
 // model. This is the software side of the Section V.A experiment.
 #pragma once
 
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "quant/qresblock.hpp"
@@ -12,36 +12,36 @@
 
 namespace tfacc {
 
-/// FP32 inputs observed at each ResBlock during a calibration run,
-/// keyed by the address of the block's weights inside the model.
-///
-/// The maps are lookup-only accumulators: anything that must iterate over
-/// the captured blocks (QuantizedTransformer::build) walks `mha_order` /
-/// `ffn_order` instead, which record first-capture order — pointer-keyed
-/// hash iteration depends on where the allocator placed the weights, and a
-/// build that quantizes blocks in allocator order is not reproducible.
+/// FP32 inputs observed at each ResBlock of one model's weights during a
+/// calibration run, in model order: mha[i] / ffn[i] belong to the weights'
+/// i-th MHA / FFN block, counting encoder layers first and each decoder
+/// layer's self- before its cross-attention (the order a forward pass first
+/// reaches them).
 struct CaptureStore {
-  std::unordered_map<const MhaWeights*, MhaQuantized::Calibration>
-      mha;  // lint: lookup-only
-  std::unordered_map<const FfnWeights*, std::vector<MatF>>
-      ffn;  // lint: lookup-only
-  std::vector<const MhaWeights*> mha_order;  ///< first-capture order
-  std::vector<const FfnWeights*> ffn_order;  ///< first-capture order
+  explicit CaptureStore(std::shared_ptr<const TransformerWeights> weights);
+
+  std::shared_ptr<const TransformerWeights> weights;
+  std::vector<MhaQuantized::Calibration> mha;
+  std::vector<std::vector<MatF>> ffn;
 };
 
 /// A backend that behaves exactly like the FP32 reference but records every
-/// block input into `store` (which must outlive the backend's use).
+/// block input into `store` (which must outlive the backend's use). A block
+/// from weights other than the store's throws CheckError.
 ResBlockBackend capturing_backend(CaptureStore& store);
 
-/// All ResBlocks of one model, quantized. Keys are weight addresses inside
-/// the Transformer used at build time, so that model object must stay alive
-/// (and unmoved) for the lifetime of this object.
+/// All ResBlocks of one set of weights, quantized. Immutable once built, so
+/// one instance serves every model (on any thread) that runs on those shared
+/// weights. A hook's block is resolved by its model-order position in the
+/// weights, which this object keeps alive; a block from any other weights —
+/// a copy of them included — throws CheckError.
 class QuantizedTransformer {
  public:
-  /// Calibrate by greedily translating `calib_sources` with the FP32 model,
-  /// then quantize every block. The model's backend is restored on return,
-  /// including when a source throws.
-  static QuantizedTransformer build(Transformer& model,
+  /// Calibrate by greedily translating `calib_sources` with the FP32
+  /// reference on `model.shared_weights()` (through a private model, so the
+  /// backend `model` has installed plays no part), then quantize every block
+  /// of those weights.
+  static QuantizedTransformer build(const Transformer& model,
                                     const std::vector<TokenSeq>& calib_sources,
                                     int max_len, SoftmaxImpl impl,
                                     CalibMethod method = CalibMethod::kMaxAbs);
@@ -55,17 +55,18 @@ class QuantizedTransformer {
   const MhaQuantized& mha_for(const MhaWeights& w) const;
   const FfnQuantized& ffn_for(const FfnWeights& w) const;
 
-  /// Convenience: translate with the quantized backend installed, restoring
-  /// the model's previous backend afterwards (also when translation throws).
-  TokenSeq translate_greedy(Transformer& model, const TokenSeq& src,
+  /// Convenience: translate with this quantized model on `model`'s weights
+  /// (through a private model, so `model` and its backend are untouched).
+  TokenSeq translate_greedy(const Transformer& model, const TokenSeq& src,
                             int max_len,
                             DecodeMode mode = DecodeMode::kKvCache) const;
 
  private:
-  // Accessed only through find() (mha_for / ffn_for); nothing iterates, so
-  // pointer keys cannot leak allocator order into any report or ledger.
-  std::unordered_map<const MhaWeights*, MhaQuantized> mha_;  // lint: lookup-only
-  std::unordered_map<const FfnWeights*, FfnQuantized> ffn_;  // lint: lookup-only
+  QuantizedTransformer() = default;  // build() is the only way to make one
+
+  std::shared_ptr<const TransformerWeights> weights_;
+  std::vector<MhaQuantized> mha_;  ///< model order (see CaptureStore)
+  std::vector<FfnQuantized> ffn_;  ///< model order
 };
 
 }  // namespace tfacc

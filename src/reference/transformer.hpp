@@ -92,8 +92,14 @@ enum class DecodeMode {
 class Transformer {
  public:
   explicit Transformer(TransformerWeights weights);
+  /// Runs on shared, immutable weights: every model (and every
+  /// QuantizedTransformer) built on the same pointer reads one copy.
+  explicit Transformer(std::shared_ptr<const TransformerWeights> weights);
 
-  const TransformerWeights& weights() const { return weights_; }
+  const TransformerWeights& weights() const { return *weights_; }
+  const std::shared_ptr<const TransformerWeights>& shared_weights() const {
+    return weights_;
+  }
 
   /// Replace the ResBlock implementations (e.g. with the accelerator);
   /// returns the ones replaced.
@@ -181,7 +187,7 @@ class Transformer {
   std::shared_ptr<const MatF> positions(int rows) const
       TFACC_EXCLUDES(pos_mu_);
 
-  TransformerWeights weights_;
+  std::shared_ptr<const TransformerWeights> weights_;
   ResBlockBackend backend_;
   mutable Mutex pos_mu_;
   mutable std::shared_ptr<const MatF> pos_encoding_

@@ -124,13 +124,14 @@ struct ScheduleReport {
   long prefill_chunks() const;
 };
 
-/// Continuous-batching decode farm. Construction pays the per-card setup
-/// (weight copy + INT8 calibration) once; run() may be called repeatedly.
+/// Continuous-batching decode farm. Construction pays the setup (one weight
+/// copy + one INT8 calibration, shared by every card) once; run() may be
+/// called repeatedly.
 class Scheduler {
  public:
-  /// `weights` is copied into every card. `calib_sources` drive the INT8
-  /// calibration (identical across cards because calibration is
-  /// deterministic); they may be empty for ServeBackend::kReference.
+  /// `weights` is copied once and shared read-only by every card.
+  /// `calib_sources` drive the one INT8 calibration; they may be empty for
+  /// ServeBackend::kReference.
   Scheduler(const TransformerWeights& weights,
             const std::vector<TokenSeq>& calib_sources,
             SchedulerConfig cfg = {});
@@ -159,6 +160,8 @@ class Scheduler {
 
   SchedulerConfig cfg_;
   std::vector<std::unique_ptr<Card>> cards_;
+  /// The INT8 model every card's backend runs (null for kReference).
+  std::unique_ptr<const QuantizedTransformer> qt_;
   std::unique_ptr<WorkerPool> pool_;
 };
 

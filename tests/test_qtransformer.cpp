@@ -2,6 +2,8 @@
 // and agreement between the quantized backend and the accelerator backend.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/backend.hpp"
 #include "quant/qtransformer.hpp"
 #include "tensor/compare.hpp"
@@ -29,22 +31,24 @@ Transformer make_model(int vocab, Rng& rng) {
 TEST(CapturingBackend, RecordsEveryBlockInvocation) {
   Rng rng(1);
   Transformer model = make_model(20, rng);
-  CaptureStore store;
+  CaptureStore store(model.shared_weights());
   model.set_backend(capturing_backend(store));
   // The capturing backend overrides only the batch-style mha/ffn hooks, so
   // supports_cached_decode() is false and the decode loop falls back to
   // full recompute — every block invocation must be recorded.
   model.translate_greedy({3, 4, 5}, 6);
   model.set_backend(ResBlockBackend{});
-  // 1 encoder MHA + 1 decoder self + 1 decoder cross = 3 distinct MHA blocks;
-  // 2 distinct FFN blocks (encoder + decoder).
-  EXPECT_EQ(store.mha.size(), 3u);
-  EXPECT_EQ(store.ffn.size(), 2u);
-  for (const auto& [w, calib] : store.mha) {
+  // 1 encoder MHA + 1 decoder self + 1 decoder cross = 3 MHA slots;
+  // 2 FFN slots (encoder + decoder), each one filled.
+  ASSERT_EQ(store.mha.size(), 3u);
+  ASSERT_EQ(store.ffn.size(), 2u);
+  for (const MhaQuantized::Calibration& calib : store.mha) {
     EXPECT_GT(calib.q.size(), 0u);
     EXPECT_EQ(calib.q.size(), calib.kv.size());
     EXPECT_EQ(calib.q.size(), calib.mask.size());
   }
+  for (const std::vector<MatF>& samples : store.ffn)
+    EXPECT_GT(samples.size(), 0u);
 }
 
 TEST(QuantizedTransformer, BuildsAndTranslatesCloseToFp32) {
@@ -70,6 +74,32 @@ TEST(QuantizedTransformer, UnknownBlockThrows) {
                                               SoftmaxImpl::kFloatExact);
   const MhaWeights stranger = MhaWeights::random(hw_tiny(), rng);
   EXPECT_THROW(qt.mha_for(stranger), CheckError);
+}
+
+TEST(QuantizedTransformer, ServesEveryModelOnItsSharedWeights) {
+  Rng rng(9);
+  const std::vector<TokenSeq> calib{{3, 4, 5}, {6, 7, 8, 9}};
+  const std::vector<TokenSeq> sources{{3, 4, 5}, {10, 11}, {6, 7, 8, 9, 12}};
+  auto a = std::make_unique<Transformer>(
+      TransformerWeights::random(hw_tiny(), 20, rng));
+  const auto qt_a =
+      QuantizedTransformer::build(*a, calib, 8, SoftmaxImpl::kHardware);
+  Transformer b(a->shared_weights());
+  const Transformer copy(a->weights());
+  a.reset();  // qt_a outlives the model it was built on
+
+  const auto qt_b =
+      QuantizedTransformer::build(b, calib, 8, SoftmaxImpl::kHardware);
+  for (const TokenSeq& src : sources) {
+    b.set_backend(qt_a.backend());
+    const TokenSeq from_a = b.translate_greedy(src, 8);
+    b.set_backend(qt_b.backend());
+    EXPECT_EQ(from_a, b.translate_greedy(src, 8));
+  }
+
+  // Equal weights at other addresses are not the calibrated model.
+  EXPECT_THROW(qt_a.mha_for(copy.weights().encoder_layers[0].mha),
+               CheckError);
 }
 
 /// The FP32 reference with every FFN call counted: a stand-in for a custom
