@@ -14,9 +14,9 @@ namespace {
 // rounding in the requantizers cannot saturate calibration-range values.
 constexpr int kI16CalibMax = 32000;
 
-float scale_of(const std::vector<MatF>& samples, int qmax,
-               CalibMethod method) {
-  return calibrate(samples, qmax, method).scale;
+float scale_of(const std::vector<MatF>& samples, int qmax, CalibMethod method,
+               const RowCounts& counts) {
+  return calibrate(samples, qmax, method, counts).scale;
 }
 
 }  // namespace
@@ -139,8 +139,8 @@ MhaQuantized MhaQuantized::build(const MhaWeights& w, const Calibration& calib,
   m.num_heads = static_cast<int>(w.heads.size());
   m.head_dim = head_dim;
   m.softmax_impl = impl;
-  m.q_in_scale = scale_of(calib.q, 127, method);
-  m.kv_in_scale = scale_of(calib.kv, 127, method);
+  m.q_in_scale = scale_of(calib.q, 127, method, calib.q_count);
+  m.kv_in_scale = scale_of(calib.kv, 127, method, calib.kv_count);
 
   // FP32 calibration pass: collect per-head projection ranges and the ranges
   // of P, G and the LayerNorm output over all samples.
@@ -167,19 +167,23 @@ MhaQuantized MhaQuantized::build(const MhaWeights& w, const Calibration& calib,
     gs.push_back(std::move(g));
   }
 
-  m.p_scale = scale_of(ps, 127, method);
-  m.g_scale = scale_of(gs, kI16CalibMax, method);
-  m.out_scale = scale_of(outs, 127, method);
+  m.p_scale = scale_of(ps, 127, method, calib.q_count);
+  m.g_scale = scale_of(gs, kI16CalibMax, method, calib.q_count);
+  m.out_scale = scale_of(outs, 127, method, calib.q_count);
 
   m.heads.resize(w.heads.size());
   for (std::size_t h = 0; h < w.heads.size(); ++h) {
     Head& qh = m.heads[h];
-    qh.wq = QuantizedLinear::build(w.heads[h].wq, w.heads[h].bq, m.q_in_scale,
-                                   scale_of(q1s[h], 127, method), granularity);
-    qh.wk = QuantizedLinear::build(w.heads[h].wk, w.heads[h].bk, m.kv_in_scale,
-                                   scale_of(k1s[h], 127, method), granularity);
-    qh.wv = QuantizedLinear::build(w.heads[h].wv, w.heads[h].bv, m.kv_in_scale,
-                                   scale_of(v1s[h], 127, method), granularity);
+    const auto& wh = w.heads[h];
+    qh.wq = QuantizedLinear::build(
+        wh.wq, wh.bq, m.q_in_scale,
+        scale_of(q1s[h], 127, method, calib.q_count), granularity);
+    qh.wk = QuantizedLinear::build(
+        wh.wk, wh.bk, m.kv_in_scale,
+        scale_of(k1s[h], 127, method, calib.kv_count), granularity);
+    qh.wv = QuantizedLinear::build(
+        wh.wv, wh.bv, m.kv_in_scale,
+        scale_of(v1s[h], 127, method, calib.kv_count), granularity);
     qh.av_requant = FixedPointScale::from_double(
         static_cast<double>(hw::kProbScale) * qh.wv.out_scale / m.p_scale);
   }
@@ -366,28 +370,31 @@ MatI8 MhaQuantized::forward_cached_batch(
 
 // --- FfnQuantized ------------------------------------------------------------
 
-FfnQuantized FfnQuantized::build(const FfnWeights& w,
-                                 const std::vector<MatF>& x_samples,
-                                 CalibMethod method, float in_scale_override,
-                                 WeightGranularity granularity) {
-  TFACC_CHECK_ARG(!x_samples.empty());
+namespace {
+
+// FfnQuantized::build over samples `xs` whose rows count `x_count` times.
+FfnQuantized build_ffn(const FfnWeights& w, const std::vector<MatF>& xs,
+                       const RowCounts& x_count, CalibMethod method,
+                       float in_scale_override,
+                       WeightGranularity granularity) {
+  TFACC_CHECK_ARG(!xs.empty());
   FfnQuantized f;
   f.d_model = w.w1.rows();
   f.d_ff = w.w1.cols();
   f.in_scale = in_scale_override > 0.0f ? in_scale_override
-                                        : scale_of(x_samples, 127, method);
+                                        : scale_of(xs, 127, method, x_count);
 
   std::vector<MatF> hiddens, gs, outs;
-  for (const auto& x : x_samples) {
+  for (const auto& x : xs) {
     MatF hidden = relu(add_bias(gemm(x, w.w1), w.b1));
     MatF g = add(x, add_bias(gemm(hidden, w.w2), w.b2));
     outs.push_back(layer_norm(g, w.norm));
     hiddens.push_back(std::move(hidden));
     gs.push_back(std::move(g));
   }
-  const float h_scale = scale_of(hiddens, 127, method);
-  f.g_scale = scale_of(gs, kI16CalibMax, method);
-  f.out_scale = scale_of(outs, 127, method);
+  const float h_scale = scale_of(hiddens, 127, method, x_count);
+  f.g_scale = scale_of(gs, kI16CalibMax, method, x_count);
+  f.out_scale = scale_of(outs, 127, method, x_count);
 
   f.w1 = QuantizedLinear::build(w.w1, w.b1, f.in_scale, h_scale, granularity);
   f.w2 = QuantizedLinear::build(w.w2, w.b2, h_scale, f.g_scale);
@@ -398,6 +405,22 @@ FfnQuantized FfnQuantized::build(const FfnWeights& w,
                                    f.g_scale);
   f.norm = hw::LayerNormUnit::build(w.norm, f.out_scale);
   return f;
+}
+
+}  // namespace
+
+FfnQuantized FfnQuantized::build(const FfnWeights& w, const Calibration& calib,
+                                 CalibMethod method, float in_scale_override,
+                                 WeightGranularity granularity) {
+  return build_ffn(w, calib.x, calib.x_count, method, in_scale_override,
+                   granularity);
+}
+
+FfnQuantized FfnQuantized::build(const FfnWeights& w,
+                                 const std::vector<MatF>& x_samples,
+                                 CalibMethod method, float in_scale_override,
+                                 WeightGranularity granularity) {
+  return build_ffn(w, x_samples, {}, method, in_scale_override, granularity);
 }
 
 MatI8 FfnQuantized::forward(const MatI8& x) const {

@@ -109,9 +109,13 @@ struct MhaQuantized {
   hw::LayerNormUnit norm = {};
 
   /// Calibration samples: parallel vectors of FP32 inputs seen by the block.
+  /// Every value derived from a q row (its Q₁, P, G and LayerNorm output
+  /// rows) counts as often as that row, and every K₁/V₁ row as often as its
+  /// kv row (see RowCounts; empty = once each).
   struct Calibration {
     std::vector<MatF> q, kv;
     std::vector<Mask> mask;
+    RowCounts q_count, kv_count;
   };
 
   /// `granularity` applies to the INT8-output projections (W_Q/W_K/W_V);
@@ -180,8 +184,22 @@ struct FfnQuantized {
   float out_scale = 1.0f;
   hw::LayerNormUnit norm = {};
 
+  /// Calibration samples: FP32 inputs seen by the block. Every value
+  /// derived from an x row (its hidden, G and LayerNorm output rows) counts
+  /// as often as that row (see RowCounts; empty = once each).
+  struct Calibration {
+    std::vector<MatF> x;
+    RowCounts x_count;
+  };
+
   /// `granularity` applies to W_1 (INT8 hidden output); W_2 requantizes
   /// into the INT16 residual domain and stays per-tensor.
+  static FfnQuantized build(
+      const FfnWeights& w, const Calibration& calib,
+      CalibMethod method = CalibMethod::kMaxAbs,
+      float in_scale_override = 0.0f,
+      WeightGranularity granularity = WeightGranularity::kPerTensor);
+  /// Every sample row counted once.
   static FfnQuantized build(
       const FfnWeights& w, const std::vector<MatF>& x_samples,
       CalibMethod method = CalibMethod::kMaxAbs,

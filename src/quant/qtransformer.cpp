@@ -2,6 +2,8 @@
 
 #include <optional>
 
+#include "reference/search.hpp"
+
 namespace tfacc {
 
 namespace {
@@ -41,6 +43,48 @@ std::size_t slot_of(const TransformerWeights& weights, const Block& w) {
   return *slot;
 }
 
+// The target prefix (BOS + emitted tokens) fed to the decoder by the last
+// step of a full-recompute greedy decode of the source whose encoder output
+// is `memory`: GreedySearch's own stop rule, driven by cached FP32 decode
+// steps, which are bit-identical to full recompute.
+TokenSeq last_greedy_prefix(const Transformer& fp32, const MatF& memory,
+                            int src_valid, int max_len) {
+  GreedySearch search(max_len, fp32.begin_decode(memory, src_valid));
+  TokenSeq prefix;
+  while (!search.done()) {
+    prefix = search.prefix(0);
+    search.advance({fp32.decode_step(search.state(0), search.input_token(0))});
+  }
+  return prefix;
+}
+
+// Counts the sample that one decoder pass over a `prefix_rows`-row prefix
+// just added to each decoder block's capture (slots as for_each_block
+// numbers them) as the full-recompute steps 1..T (T = prefix_rows) would
+// have fed it. The causal mask keeps rows independent, so step t's decoder
+// input is the first t rows of that pass, bit for bit: decoder row i is fed
+// in steps i+1..T (T − i times), and the encoder memory, cross-attention's
+// K/V, in every step (T times).
+void count_decoder_rows(CaptureStore& store, int prefix_rows,
+                        int memory_rows) {
+  std::vector<int> stream(static_cast<std::size_t>(prefix_rows));
+  for (int i = 0; i < prefix_rows; ++i)
+    stream[static_cast<std::size_t>(i)] = prefix_rows - i;
+  const std::vector<int> memory(static_cast<std::size_t>(memory_rows),
+                                prefix_rows);
+  std::size_t mha = store.weights->encoder_layers.size();
+  std::size_t ffn = mha;
+  for (std::size_t l = 0; l < store.weights->decoder_layers.size(); ++l) {
+    MhaQuantized::Calibration& self = store.mha[mha++];
+    self.q_count.push_back(stream);
+    self.kv_count.push_back(stream);
+    MhaQuantized::Calibration& cross = store.mha[mha++];
+    cross.q_count.push_back(stream);
+    cross.kv_count.push_back(memory);
+    store.ffn[ffn++].x_count.push_back(stream);
+  }
+}
+
 }  // namespace
 
 CaptureStore::CaptureStore(std::shared_ptr<const TransformerWeights> w)
@@ -52,9 +96,6 @@ CaptureStore::CaptureStore(std::shared_ptr<const TransformerWeights> w)
 }
 
 ResBlockBackend capturing_backend(CaptureStore& store) {
-  // Only the batch-style hooks capture; the cached-MHA hooks keep their
-  // reference defaults, so drive this backend with
-  // DecodeMode::kFullRecompute (as build() does) to record every block.
   ResBlockBackend b;
   b.mha = [&store](const MatF& q, const MatF& kv, const MhaWeights& w,
                    const Mask& mask) {
@@ -65,7 +106,7 @@ ResBlockBackend capturing_backend(CaptureStore& store) {
     return mha_resblock(q, kv, w, mask);
   };
   b.ffn = [&store](const MatF& x, const FfnWeights& w) {
-    store.ffn[slot_of(*store.weights, w)].push_back(x);
+    store.ffn[slot_of(*store.weights, w)].x.push_back(x);
     return ffn_resblock(x, w);
   };
   return b;
@@ -76,15 +117,21 @@ QuantizedTransformer QuantizedTransformer::build(
     int max_len, SoftmaxImpl impl, CalibMethod method) {
   TFACC_CHECK_ARG(!calib_sources.empty());
 
-  // Calibrate on a private model over the same weights, so the backend
-  // `model` holds plays no part. Full recompute: the capturing backend only
-  // hooks the batch-style mha/ffn calls, and calibration wants the same
-  // growing-prefix inputs deployment's batch ResBlocks would see.
+  // Two private models over the same weights, so the backend `model` holds
+  // plays no part: `capture` records one pass per source, `fp32` (the plain
+  // reference) finds the prefix that pass runs over.
   CaptureStore store(model.shared_weights());
   Transformer capture(store.weights);
   capture.set_backend(capturing_backend(store));
-  for (const auto& src : calib_sources)
-    capture.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
+  const Transformer fp32(store.weights);
+  for (const auto& src : calib_sources) {
+    const MatF memory = capture.encode(src);
+    const int src_valid = unpadded_length(src);
+    const TokenSeq prefix = last_greedy_prefix(fp32, memory, src_valid,
+                                               max_len);
+    capture.decode_states(prefix, memory, src_valid);
+    count_decoder_rows(store, static_cast<int>(prefix.size()), memory.rows());
+  }
 
   // A block that calibration never reached has no samples, and its build
   // throws CheckError.

@@ -22,12 +22,16 @@ struct CaptureStore {
 
   std::shared_ptr<const TransformerWeights> weights;
   std::vector<MhaQuantized::Calibration> mha;
-  std::vector<std::vector<MatF>> ffn;
+  std::vector<FfnQuantized::Calibration> ffn;
 };
 
-/// A backend that behaves exactly like the FP32 reference but records every
-/// block input into `store` (which must outlive the backend's use). A block
-/// from weights other than the store's throws CheckError.
+/// A backend that behaves exactly like the FP32 reference but records the
+/// inputs of every `mha` / `ffn` call into `store` (which must outlive the
+/// backend's use), with no row counts. Only those two hooks record: the
+/// cached-MHA hooks keep their reference defaults, so supports_cached_decode()
+/// is false and translate_greedy / translate_beam on this backend fall back
+/// to full recompute. A block from weights other than the store's throws
+/// CheckError.
 ResBlockBackend capturing_backend(CaptureStore& store);
 
 /// All ResBlocks of one set of weights, quantized. Immutable once built, so
@@ -37,10 +41,16 @@ ResBlockBackend capturing_backend(CaptureStore& store);
 /// a copy of them included — throws CheckError.
 class QuantizedTransformer {
  public:
-  /// Calibrate by greedily translating `calib_sources` with the FP32
-  /// reference on `model.shared_weights()` (through a private model, so the
-  /// backend `model` has installed plays no part), then quantize every block
-  /// of those weights.
+  /// Calibrate on the block inputs a full-recompute FP32 greedy translation
+  /// of each of `calib_sources` would feed every block, then quantize every
+  /// block of `model.shared_weights()`. The backend `model` has installed
+  /// plays no part: each source is decoded once, cached, on a private FP32
+  /// model to find its longest target prefix T, and one capturing encoder
+  /// pass plus one decoder pass over that prefix record every row once. Each
+  /// row carries the count of full-recompute steps that would have fed it
+  /// (decoder row i: T − i; encoder memory as cross-attention K/V: T;
+  /// encoder rows: 1), so both CalibMethods see the same multiset and build
+  /// bit-identical blocks.
   static QuantizedTransformer build(const Transformer& model,
                                     const std::vector<TokenSeq>& calib_sources,
                                     int max_len, SoftmaxImpl impl,

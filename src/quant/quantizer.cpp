@@ -2,12 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "tensor/kernels.hpp"
 
 namespace tfacc {
 
 namespace {
+
+// Scale mapping a range bound to qmax (unit scale for an all-zero range).
+float scale_for(float bound, int qmax) {
+  if (bound <= 0.0f) return 1.0f;
+  return bound / static_cast<float>(qmax);
+}
+
+// Rank of the 99.9th percentile among n sorted values.
+std::size_t percentile_rank(std::size_t n) {
+  return static_cast<std::size_t>(0.999 * static_cast<double>(n - 1));
+}
 
 float reduce_range(std::vector<float> absvals, int qmax, CalibMethod method) {
   if (absvals.empty()) return 1.0f;
@@ -17,15 +29,62 @@ float reduce_range(std::vector<float> absvals, int qmax, CalibMethod method) {
       bound = *std::max_element(absvals.begin(), absvals.end());
       break;
     case CalibMethod::kPercentile999: {
-      const auto k = static_cast<std::size_t>(
-          0.999 * static_cast<double>(absvals.size() - 1));
+      const std::size_t k = percentile_rank(absvals.size());
       std::nth_element(absvals.begin(), absvals.begin() + k, absvals.end());
       bound = absvals[k];
       break;
     }
   }
-  if (bound <= 0.0f) return 1.0f;
-  return bound / static_cast<float>(qmax);
+  return scale_for(bound, qmax);
+}
+
+// The k-th smallest (from 0) value of the multiset in which each
+// v[i].first occurs v[i].second times: a quickselect that weighs the side
+// below each pivot by its counts, so no value is ever replicated.
+float weighted_kth(std::vector<std::pair<float, int>> v, std::size_t k) {
+  const auto by_value = [](const std::pair<float, int>& a,
+                           const std::pair<float, int>& b) {
+    return a.first < b.first;
+  };
+  auto first = v.begin();
+  auto last = v.end();
+  for (;;) {
+    const auto mid = first + (last - first) / 2;
+    std::nth_element(first, mid, last, by_value);
+    std::size_t below = 0;
+    for (auto it = first; it != mid; ++it)
+      below += static_cast<std::size_t>(it->second);
+    if (k < below) {
+      last = mid;
+    } else if (k < below + static_cast<std::size_t>(mid->second)) {
+      return mid->first;
+    } else {
+      k -= below + static_cast<std::size_t>(mid->second);
+      first = mid + 1;
+    }
+  }
+}
+
+// reduce_range over the multiset in which each weighted[i].first (an |x|)
+// occurs weighted[i].second times.
+float reduce_range(std::vector<std::pair<float, int>> weighted, int qmax,
+                   CalibMethod method) {
+  if (weighted.empty()) return 1.0f;
+  float bound = 0.0f;
+  switch (method) {
+    case CalibMethod::kMaxAbs:
+      for (const auto& [absval, count] : weighted)
+        bound = std::max(bound, absval);
+      break;
+    case CalibMethod::kPercentile999: {
+      std::size_t n = 0;
+      for (const auto& [absval, count] : weighted)
+        n += static_cast<std::size_t>(count);
+      bound = weighted_kth(std::move(weighted), percentile_rank(n));
+      break;
+    }
+  }
+  return scale_for(bound, qmax);
 }
 
 }  // namespace
@@ -50,13 +109,33 @@ QuantParams calibrate(const MatF& values, int qmax, CalibMethod method) {
 }
 
 QuantParams calibrate(const std::vector<MatF>& samples, int qmax,
-                      CalibMethod method) {
+                      CalibMethod method, const RowCounts& counts) {
   TFACC_CHECK_ARG(qmax > 0);
-  std::vector<float> absvals;
-  for (const auto& m : samples)
-    for (int r = 0; r < m.rows(); ++r)
-      for (int c = 0; c < m.cols(); ++c) absvals.push_back(std::abs(m(r, c)));
-  return QuantParams{reduce_range(std::move(absvals), qmax, method)};
+  if (counts.empty()) {
+    std::vector<float> absvals;
+    for (const auto& m : samples)
+      for (int r = 0; r < m.rows(); ++r)
+        for (int c = 0; c < m.cols(); ++c)
+          absvals.push_back(std::abs(m(r, c)));
+    return QuantParams{reduce_range(std::move(absvals), qmax, method)};
+  }
+  TFACC_CHECK_ARG_MSG(counts.size() == samples.size(),
+                      counts.size() << " count vectors for " << samples.size()
+                                    << " samples");
+  std::vector<std::pair<float, int>> weighted;
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    const MatF& m = samples[s];
+    TFACC_CHECK_ARG_MSG(static_cast<int>(counts[s].size()) == m.rows(),
+                        "sample " << s << " has " << m.rows() << " rows but "
+                                  << counts[s].size() << " counts");
+    for (int r = 0; r < m.rows(); ++r) {
+      const int count = counts[s][static_cast<std::size_t>(r)];
+      TFACC_CHECK_ARG_MSG(count >= 1, "row count " << count << " < 1");
+      for (int c = 0; c < m.cols(); ++c)
+        weighted.emplace_back(std::abs(m(r, c)), count);
+    }
+  }
+  return QuantParams{reduce_range(std::move(weighted), qmax, method)};
 }
 
 MatI8 quantize_i8(const MatF& m, QuantParams p) {

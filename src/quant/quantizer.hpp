@@ -27,9 +27,18 @@ QuantParams calibrate(const std::vector<float>& values, int qmax,
                       CalibMethod method = CalibMethod::kMaxAbs);
 QuantParams calibrate(const MatF& values, int qmax,
                       CalibMethod method = CalibMethod::kMaxAbs);
-/// Calibrate over several sample matrices (activation calibration set).
+/// Per-row repeat counts of a calibration set: counts[s][r] is how many
+/// times row r of sample s counts, exactly as if the set held that many
+/// copies of the row. Empty counts every row once.
+using RowCounts = std::vector<std::vector<int>>;
+
+/// Calibrate over several sample matrices (activation calibration set),
+/// each row weighted by its repeat count. Counts that are not empty must
+/// hold one vector per sample with one count >= 1 per row of that sample,
+/// or CheckError is thrown.
 QuantParams calibrate(const std::vector<MatF>& samples, int qmax,
-                      CalibMethod method = CalibMethod::kMaxAbs);
+                      CalibMethod method = CalibMethod::kMaxAbs,
+                      const RowCounts& counts = {});
 
 /// Round-to-nearest symmetric quantization.
 MatI8 quantize_i8(const MatF& m, QuantParams p);

@@ -2,6 +2,8 @@
 // and agreement between the quantized backend and the accelerator backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "core/backend.hpp"
@@ -28,6 +30,78 @@ Transformer make_model(int vocab, Rng& rng) {
   return Transformer(TransformerWeights::random(hw_tiny(), vocab, rng));
 }
 
+/// FNV-1a over every scale, requantizer and packed weight byte of the
+/// quantized blocks fed to it.
+class BlockDigest {
+ public:
+  void mha(const MhaQuantized& m) {
+    add(m.d_model, m.num_heads, m.head_dim, static_cast<int>(m.softmax_impl));
+    add(m.q_in_scale, m.kv_in_scale);
+    for (const MhaQuantized::Head& h : m.heads) {
+      linear(h.wq);
+      linear(h.wk);
+      linear(h.wv);
+      add(h.av_requant);
+    }
+    linear(m.wg);
+    add(m.p_scale, m.g_scale, m.wg_to_g, m.residual_to_g, m.out_scale,
+        m.norm.out_scale());
+  }
+  void ffn(const FfnQuantized& f) {
+    add(f.d_model, f.d_ff, f.in_scale);
+    linear(f.w1);
+    linear(f.w2);
+    add(f.g_scale, f.w2_to_g, f.residual_to_g, f.out_scale,
+        f.norm.out_scale());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void bytes(const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= static_cast<const unsigned char*>(p)[i];
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void one(int v) { bytes(&v, sizeof v); }
+  void one(float v) { bytes(&v, sizeof v); }
+  void one(const FixedPointScale& s) { add(s.mantissa, s.shift); }
+  template <typename... Ts>
+  void add(const Ts&... vs) {
+    (one(vs), ...);
+  }
+  void linear(const QuantizedLinear& q) {
+    bytes(q.w.data(), q.w.size());
+    bytes(q.bias.data(), q.bias.size() * sizeof(std::int32_t));
+    add(q.in_scale, q.w_scale, q.out_scale, q.requant,
+        static_cast<int>(q.granularity));
+    for (const float s : q.col_w_scale) one(s);
+    for (const FixedPointScale& s : q.col_requant) one(s);
+    add(q.wpack.k, q.wpack.n, q.wpack.k_pad);
+    bytes(q.wpack.data.data(),
+          static_cast<std::size_t>(q.wpack.n) * q.wpack.k_pad);
+  }
+
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+/// Digest of every block of `weights`, in model order.
+template <typename MhaFn, typename FfnFn>
+std::uint64_t model_digest(const TransformerWeights& weights, MhaFn&& mha,
+                           FfnFn&& ffn) {
+  BlockDigest d;
+  std::size_t slot = 0;
+  for (const auto& layer : weights.encoder_layers) d.mha(mha(layer.mha, slot++));
+  for (const auto& layer : weights.decoder_layers) {
+    d.mha(mha(layer.self_mha, slot++));
+    d.mha(mha(layer.cross_mha, slot++));
+  }
+  slot = 0;
+  for (const auto& layer : weights.encoder_layers) d.ffn(ffn(layer.ffn, slot++));
+  for (const auto& layer : weights.decoder_layers) d.ffn(ffn(layer.ffn, slot++));
+  return d.value();
+}
+
 TEST(CapturingBackend, RecordsEveryBlockInvocation) {
   Rng rng(1);
   Transformer model = make_model(20, rng);
@@ -47,8 +121,8 @@ TEST(CapturingBackend, RecordsEveryBlockInvocation) {
     EXPECT_EQ(calib.q.size(), calib.kv.size());
     EXPECT_EQ(calib.q.size(), calib.mask.size());
   }
-  for (const std::vector<MatF>& samples : store.ffn)
-    EXPECT_GT(samples.size(), 0u);
+  for (const FfnQuantized::Calibration& calib : store.ffn)
+    EXPECT_GT(calib.x.size(), 0u);
 }
 
 TEST(QuantizedTransformer, BuildsAndTranslatesCloseToFp32) {
@@ -100,6 +174,82 @@ TEST(QuantizedTransformer, ServesEveryModelOnItsSharedWeights) {
   // Equal weights at other addresses are not the calibrated model.
   EXPECT_THROW(qt_a.mha_for(copy.weights().encoder_layers[0].mha),
                CheckError);
+}
+
+/// hw-tiny with two encoder and two decoder layers, so every kind of
+/// capture slot occurs more than once.
+ModelConfig hw_two_layers() {
+  ModelConfig cfg = hw_tiny();
+  cfg.num_encoder_layers = 2;
+  cfg.num_decoder_layers = 2;
+  return cfg;
+}
+
+/// Calibration by full recompute, built from public API only: record every
+/// block input of a full-recompute FP32 greedy decode of each source, each
+/// row once, then build every block from its samples.
+std::uint64_t full_recompute_digest(const Transformer& model,
+                                    const std::vector<TokenSeq>& sources,
+                                    int max_len, SoftmaxImpl impl,
+                                    CalibMethod method) {
+  CaptureStore store(model.shared_weights());
+  Transformer capture(store.weights);
+  capture.set_backend(capturing_backend(store));
+  for (const TokenSeq& src : sources)
+    capture.translate_greedy(src, max_len, DecodeMode::kFullRecompute);
+  return model_digest(
+      *store.weights,
+      [&](const MhaWeights& w, std::size_t slot) {
+        return MhaQuantized::build(w, store.mha[slot], impl, method);
+      },
+      [&](const FfnWeights& w, std::size_t slot) {
+        return FfnQuantized::build(w, store.ffn[slot], method);
+      });
+}
+
+TEST(QuantizedTransformer, CapturePassMatchesFullRecomputeCalibration) {
+  Rng rng(10);
+  TransformerWeights weights =
+      TransformerWeights::random(hw_two_layers(), 20, rng);
+  // A louder EOS column, so that some greedy decodes stop on EOS.
+  for (int r = 0; r < weights.output_projection.rows(); ++r)
+    weights.output_projection(r, kEosId) *= 3.0f;
+  const Transformer model(std::move(weights));
+  // {5, 6, 7, 0, 0} is PAD-tailed: its padded memory rows are cross-
+  // attention K/V samples too.
+  const std::vector<TokenSeq> sources{
+      {3, 4, 5},
+      {6, 7, 8, 9, 10, 11},
+      {12},
+      {5, 6, 7, 0, 0},
+      {3, 5, 7, 9, 11, 13, 15, 17, 19, 4, 6, 8, 10, 12, 14, 16, 18, 3, 4, 5}};
+  constexpr int kMaxLen = 8;
+  // The sources cover both ways greedy decoding stops at kMaxLen: on EOS
+  // before it and by reaching it.
+  std::vector<std::size_t> lengths;
+  for (const TokenSeq& src : sources)
+    lengths.push_back(model.translate_greedy(src, kMaxLen).size());
+  EXPECT_LT(*std::min_element(lengths.begin(), lengths.end()),
+            std::size_t{kMaxLen});
+  EXPECT_EQ(*std::max_element(lengths.begin(), lengths.end()),
+            std::size_t{kMaxLen});
+
+  for (const int max_len : {1, 2, kMaxLen})
+    for (const CalibMethod method :
+         {CalibMethod::kMaxAbs, CalibMethod::kPercentile999})
+      for (const SoftmaxImpl impl :
+           {SoftmaxImpl::kHardware, SoftmaxImpl::kFloatExact}) {
+        const auto qt =
+            QuantizedTransformer::build(model, sources, max_len, impl, method);
+        const std::uint64_t got = model_digest(
+            model.weights(),
+            [&](const MhaWeights& w, std::size_t) { return qt.mha_for(w); },
+            [&](const FfnWeights& w, std::size_t) { return qt.ffn_for(w); });
+        EXPECT_EQ(got, full_recompute_digest(model, sources, max_len, impl,
+                                             method))
+            << "max_len " << max_len << " method "
+            << static_cast<int>(method) << " impl " << static_cast<int>(impl);
+      }
 }
 
 /// The FP32 reference with every FFN call counted: a stand-in for a custom

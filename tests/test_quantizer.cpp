@@ -38,6 +38,115 @@ TEST(Calibrate, MultiSampleTakesGlobalRange) {
   EXPECT_NEAR(p.scale, 0.1f, 1e-6);
 }
 
+// Random samples of `rows[s]` rows each, with repeat counts in [1, 9].
+struct CountedSamples {
+  std::vector<MatF> samples;
+  RowCounts counts;
+};
+
+CountedSamples counted_samples(const std::vector<int>& rows, Rng& rng) {
+  CountedSamples cs;
+  for (const int n : rows) {
+    MatF m(n, 24);
+    fill_normal(m, rng, 0, 2);
+    cs.samples.push_back(m);
+    std::vector<int> c;
+    for (int r = 0; r < n; ++r) c.push_back(rng.uniform_int(1, 9));
+    cs.counts.push_back(c);
+  }
+  return cs;
+}
+
+// The same set with every row physically copied `count` times.
+std::vector<MatF> replicated(const CountedSamples& cs) {
+  std::vector<MatF> out;
+  for (std::size_t s = 0; s < cs.samples.size(); ++s) {
+    const MatF& m = cs.samples[s];
+    int total = 0;
+    for (const int c : cs.counts[s]) total += c;
+    MatF rep(total, m.cols());
+    int dst = 0;
+    for (int r = 0; r < m.rows(); ++r)
+      for (int k = 0; k < cs.counts[s][static_cast<std::size_t>(r)]; ++k)
+        rep.set_block(dst++, 0, m.block(r, 0, 1, m.cols()));
+    out.push_back(rep);
+  }
+  return out;
+}
+
+TEST(CalibrateCounted, RepeatCountsLeaveMaxAbsUnchanged) {
+  Rng rng(11);
+  const CountedSamples cs = counted_samples({5, 1, 9}, rng);
+  EXPECT_EQ(calibrate(cs.samples, 127, CalibMethod::kMaxAbs, cs.counts).scale,
+            calibrate(cs.samples, 127, CalibMethod::kMaxAbs).scale);
+}
+
+TEST(CalibrateCounted, PercentileEqualsReplicatedRows) {
+  Rng rng(12);
+  for (const std::vector<int>& rows :
+       {std::vector<int>{5, 1, 9}, std::vector<int>{1}, std::vector<int>{33, 17}})
+    for (const int qmax : {127, 32000}) {
+      const CountedSamples cs = counted_samples(rows, rng);
+      EXPECT_EQ(calibrate(cs.samples, qmax, CalibMethod::kPercentile999,
+                          cs.counts)
+                    .scale,
+                calibrate(replicated(cs), qmax, CalibMethod::kPercentile999)
+                    .scale);
+    }
+}
+
+TEST(CalibrateCounted, PercentileSeesTheCounts) {
+  // 256 small values once each, then 3 rows of large values whose counts
+  // lift the 99.9th percentile from the second-largest value to the
+  // largest: the counts must change the result, not just be accepted.
+  Rng rng(13);
+  CountedSamples cs;
+  MatF small(4, 64), large(3, 64);
+  fill_normal(small, rng, 0, 1);
+  fill_normal(large, rng, 0, 10);
+  cs.samples = {small, large};
+  cs.counts = {{1, 1, 1, 1}, {20, 13, 7}};
+  const float counted =
+      calibrate(cs.samples, 127, CalibMethod::kPercentile999, cs.counts)
+          .scale;
+  EXPECT_EQ(counted,
+            calibrate(replicated(cs), 127, CalibMethod::kPercentile999).scale);
+  EXPECT_NE(counted,
+            calibrate(cs.samples, 127, CalibMethod::kPercentile999).scale);
+  EXPECT_EQ(counted, calibrate(cs.samples, 127, CalibMethod::kMaxAbs).scale);
+}
+
+TEST(CalibrateCounted, MismatchedCountShapeThrows) {
+  Rng rng(14);
+  const CountedSamples cs = counted_samples({3, 2}, rng);
+  for (const CalibMethod method :
+       {CalibMethod::kMaxAbs, CalibMethod::kPercentile999}) {
+    RowCounts too_few_samples = cs.counts;
+    too_few_samples.pop_back();
+    EXPECT_THROW(calibrate(cs.samples, 127, method, too_few_samples),
+                 CheckError);
+    RowCounts too_few_rows = cs.counts;
+    too_few_rows[1].pop_back();
+    EXPECT_THROW(calibrate(cs.samples, 127, method, too_few_rows), CheckError);
+    RowCounts too_many_rows = cs.counts;
+    too_many_rows[0].push_back(1);
+    EXPECT_THROW(calibrate(cs.samples, 127, method, too_many_rows),
+                 CheckError);
+  }
+}
+
+TEST(CalibrateCounted, CountBelowOneThrows) {
+  Rng rng(15);
+  const CountedSamples cs = counted_samples({3, 2}, rng);
+  for (const int bad : {0, -1})
+    for (const CalibMethod method :
+         {CalibMethod::kMaxAbs, CalibMethod::kPercentile999}) {
+      RowCounts counts = cs.counts;
+      counts[1][1] = bad;
+      EXPECT_THROW(calibrate(cs.samples, 127, method, counts), CheckError);
+    }
+}
+
 TEST(Quantize, RoundTripErrorBoundedByHalfStep) {
   Rng rng(3);
   MatF m(16, 16);
