@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
   bench::write_host_info(json);
 
   bench::title(std::string("GEMM kernel sweep (int8 -> int32, ") +
-               kernels::capability() + " host" + (smoke ? ", smoke" : "") +
-               ")");
+               kernels::capability() + " host, gemm_tier " +
+               kernels::gemm_tier() + (smoke ? ", smoke" : "") + ")");
   std::printf("%-24s | %10s | %12s %10s | %8s\n", "shape (m x k x n)",
               "kernel", "ns/GEMM", "GMAC/s", "vs scal");
   bench::rule(78);

@@ -118,10 +118,14 @@ class JsonWriter {
 /// baseline) — simulated-cycle metrics stay gated regardless. "cores" (PR 9)
 /// is the host's hardware concurrency: perf_gate.py skips the multi-card
 /// scaling gates when either side of the diff ran on fewer than 4 cores.
+/// "gemm_tier" names the packed int8 GEMM tier `simd` runs on this host
+/// (avx512vnni | avx2 | scalar); it is informational only, so a
+/// VNNI host still matches an "avx2" baseline's capability.
 inline void write_host_info(JsonWriter& json) {
   json.key("host").begin_object();
   json.key("kernel").value(kernels::kind_name(kernels::selected()));
   json.key("kernel_capability").value(kernels::capability());
+  json.key("gemm_tier").value(kernels::gemm_tier());
   json.key("simd_available").value(kernels::simd_available());
   json.key("cores")
       .value(static_cast<int>(std::thread::hardware_concurrency()));

@@ -29,7 +29,8 @@ std::int64_t inject_faults(MhaQuantized& block, double ber, Rng& rng) {
     flips += inject_bit_flips(head.wq.w, ber, rng);
     flips += inject_bit_flips(head.wk.w, ber, rng);
     flips += inject_bit_flips(head.wv.w, ber, rng);
-    // The GEMM kernels read the Bᵀ pack, not w — re-pack the flipped bits.
+    // The GEMM kernels read the pack (and its Σb), not w — re-pack the
+    // flipped bits.
     head.wq.repack();
     head.wk.repack();
     head.wv.repack();

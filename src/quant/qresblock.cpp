@@ -90,10 +90,12 @@ QuantizedLinear QuantizedLinear::build(const MatF& w,
 
 MatI32 QuantizedLinear::accumulate(const MatI8& x) const {
   // Packed fused-bias kernel: c = bias ⊕ x·W in one pass, exactly
-  // add_bias_i32(gemm_i8(x, w), bias). The fallback covers hand-assembled
-  // layers that never called build()/repack().
-  if (wpack.k != w.rows() || wpack.n != w.cols())
-    return add_bias_i32(gemm_i8(x, w), bias);
+  // add_bias_i32(gemm_i8(x, w), bias). build() packs w, and every in-place
+  // mutation of w (fault injection) repacks it.
+  TFACC_CHECK_MSG(wpack.k == w.rows() && wpack.n == w.cols(),
+                  "wpack " << wpack.k << 'x' << wpack.n << " vs w "
+                           << w.rows() << 'x' << w.cols()
+                           << " (call repack() after changing w)");
   MatI32 out(x.rows(), w.cols());
   kernels::gemm_i8_packed_bias_into(x, wpack, bias, out);
   return out;

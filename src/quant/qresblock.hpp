@@ -59,7 +59,7 @@ struct QuantizedLinear {
   WeightGranularity granularity = WeightGranularity::kPerTensor;
   std::vector<float> col_w_scale;            // per column, when per-column
   std::vector<FixedPointScale> col_requant;  // per column, when per-column
-  PackedI8 wpack;  // Bᵀ pack of w for the packed GEMM kernels
+  PackedI8 wpack;  // panel pack of w (tensor/pack.hpp) for the GEMM kernels
 
   /// Quantize FP32 weights/bias given the input scale and the calibrated
   /// output scale.
@@ -72,7 +72,8 @@ struct QuantizedLinear {
   void repack() { wpack = pack_b_i8(w); }
 
   /// INT32 accumulators of x·W + b (what leaves the systolic array + adders).
-  /// Runs the packed fused-bias kernel (bit-identical to the unpacked GEMM).
+  /// Runs the packed fused-bias kernel (bit-identical to the unpacked GEMM);
+  /// throws CheckError when wpack does not match w's shape.
   MatI32 accumulate(const MatI8& x) const;
   /// Requantize accumulators of columns [col_offset, col_offset + acc.cols)
   /// — the per-64-column-block path the accelerator controller uses.

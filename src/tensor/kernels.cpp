@@ -1,5 +1,6 @@
 #include "tensor/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -17,6 +18,8 @@
 namespace tfacc::kernels {
 
 namespace {
+
+using detail::GemmTier;
 
 Kind kind_from_env_or_default() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
@@ -89,18 +92,44 @@ void gemm_nt_scalar(const Matrix<T>& a, const Matrix<T>& b, Matrix<Acc>& out) {
   }
 }
 
-template <typename T, typename Acc>
-void gemm_packed_scalar(const Matrix<T>& a, const PackedB<T>& bp,
-                        const std::int32_t* bias, Matrix<Acc>& out) {
+/// The packed GEMM's scalar reference: gemm_scalar's per-element sum, seeded
+/// with the bias. For each panel it copies up to kChunk k of the panel's 16
+/// columns into column rows on the stack (4 KB), then runs the plain int8 dot
+/// product, four columns per pass over A — a loop compilers vectorize on every
+/// target (SSE2, NEON), as they did over the old Bᵀ rows. Hosts without AVX2
+/// run this loop.
+void gemm_i8_packed_scalar(const MatI8& a, const PackedI8& bp,
+                           const std::int32_t* bias, MatI32& out) {
+  constexpr int kCols = PackedI8::kPanelCols, kGroup = PackedI8::kGroupK;
+  constexpr int kChunk = 256;  // a multiple of kGroup
   const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const T* arow = a.row(i);
-    Acc* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const T* brow = bp.row(j);
-      Acc acc = bias != nullptr ? static_cast<Acc>(bias[j]) : Acc{};
-      for (int p = 0; p < k; ++p) acc += static_cast<Acc>(arow[p]) * brow[p];
-      orow[j] = acc;
+  for (int j0 = 0; j0 < bp.n; j0 += kCols) {
+    const int cols = std::min(kCols, bp.n - j0);
+    for (int i = 0; i < a.rows(); ++i)
+      for (int c = 0; c < cols; ++c)
+        out.row(i)[j0 + c] = bias != nullptr ? bias[j0 + c] : 0;
+    for (int p0 = 0; p0 < k; p0 += kChunk) {
+      const int len = std::min(kChunk, k - p0);
+      // Whole k-groups of all 16 columns: the pack's zero padding included.
+      alignas(64) std::int8_t col[kCols][kChunk];
+      const std::int8_t* line =
+          bp.panel(j0 / kCols) +
+          static_cast<std::size_t>(p0 / kGroup) * PackedI8::kLineBytes;
+      for (int q = 0; q < len; q += kGroup, line += PackedI8::kLineBytes)
+        for (int c = 0; c < kCols; ++c)
+          std::memcpy(&col[c][q], line + c * kGroup, kGroup);
+      for (int i = 0; i < a.rows(); ++i) {
+        const std::int8_t* arow = a.row(i) + p0;
+        std::int32_t* orow = out.row(i) + j0;
+        for (int c = 0; c < cols; c += 4) {
+          std::int32_t acc[4] = {};
+          for (int p = 0; p < len; ++p) {
+            const std::int32_t av = arow[p];
+            for (int t = 0; t < 4; ++t) acc[t] += av * col[c + t][p];
+          }
+          for (int t = 0; t < 4 && c + t < cols; ++t) orow[c + t] += acc[t];
+        }
+      }
     }
   }
 }
@@ -191,22 +220,6 @@ __attribute__((target("avx2"))) std::int32_t dot_i8_avx2(const std::int8_t* a,
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p)));
     const __m256i b0 = _mm256_cvtepi8_epi16(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a0, b0));
-  }
-  std::int32_t sum = hsum_epi32(acc);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
-__attribute__((target("avx2"))) std::int32_t dot_i16_avx2(
-    const std::int16_t* a, const std::int16_t* b, int k) {
-  __m256i acc = _mm256_setzero_si256();
-  int p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m256i a0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p));
-    const __m256i b0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + p));
     acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a0, b0));
   }
   std::int32_t sum = hsum_epi32(acc);
@@ -307,31 +320,6 @@ __attribute__((target("avx2"))) void gemm_nt_i8_avx2(const MatI8& a,
     const std::int8_t* arow = a.row(i);
     std::int32_t* orow = out.row(i);
     for (int j = 0; j < b.rows(); ++j) orow[j] = dot_i8_avx2(arow, b.row(j), k);
-  }
-}
-
-__attribute__((target("avx2"))) void gemm_i8_packed_avx2(
-    const MatI8& a, const PackedI8& bp, const std::int32_t* bias,
-    MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const std::int32_t seed = bias != nullptr ? bias[j] : 0;
-      orow[j] = seed + dot_i8_avx2(arow, bp.row(j), k);
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void gemm_i16_packed_avx2(const MatI16& a,
-                                                          const PackedI16& bp,
-                                                          MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int16_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) orow[j] = dot_i16_avx2(arow, bp.row(j), k);
   }
 }
 
@@ -530,6 +518,199 @@ __attribute__((target("avx2"))) void layernorm_finish_avx2(
   }
 }
 
+// --- Packed int8 GEMM tiers -------------------------------------------------
+// Register-blocked micro-kernels over the k-interleaved panels of
+// tensor/pack.hpp. A tile is MR rows × NP panels (16·NP columns): its
+// accumulators stay in registers across every k-group — vertical
+// accumulation, no per-element horizontal sum — and each is stored once,
+// with the bias added and the columns past n masked off.
+//
+// The VNNI tier runs vpdpbusd, which multiplies unsigned bytes by signed
+// bytes. It feeds A as a ^ 0x80 = a + 128 (as u8), so a tile accumulates
+// Σ(a + 128)·b = Σa·b + 128·Σb, and the store subtracts the pack's sum128.
+// The AVX2 tier widens both operands to int16 and runs pmaddwd (|pair| ≤
+// 2·128²), leaving each column as two int32 lane halves that the store folds
+// once per tile with hadd + permute. Every sum wraps modulo 2³², so a tile's
+// result is exact whenever it fits in int32 — the scalar loop's precondition.
+//
+// A's partial last k-group is read byte by byte (a_tail), never past the row;
+// B's padding is zero there, so the missing bytes contribute nothing.
+
+/// Bytes p .. p+3 of an A row as one little-endian word.
+inline std::uint32_t a_word(const std::int8_t* src) {
+  std::uint32_t w;
+  std::memcpy(&w, src, sizeof w);
+  return w;
+}
+
+/// The first `count` (< 4) bytes of an A row's last k-group, zero above.
+inline std::uint32_t a_tail(const std::int8_t* src, int count) {
+  std::uint32_t w = 0;
+  for (int t = 0; t < count; ++t)
+    w |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(src[t]))
+         << (8 * t);
+  return w;
+}
+
+/// One k-group's A words of rows i0 .. i0+MR-1 (the last group may be partial).
+template <int MR>
+void a_words(const MatI8& a, int i0, int g, std::uint32_t (&w)[MR]) {
+  const int p = g * PackedI8::kGroupK;
+  const int left = a.cols() - p;
+  for (int r = 0; r < MR; ++r)
+    w[r] = left >= PackedI8::kGroupK ? a_word(a.row(i0 + r) + p)
+                                     : a_tail(a.row(i0 + r) + p, left);
+}
+
+constexpr std::uint32_t kFlip = 0x80808080u;  // a ^ 0x80 = a + 128 as u8
+
+#define TFACC_TARGET_AVX512VNNI \
+  __attribute__((target("avx512f,avx512vnni")))
+
+/// AVX-512 VNNI: one zmm = one panel line (16 columns × 4 k).
+struct Avx512VnniTier {
+  static constexpr int kRows = 4, kPanels = 4;  // a 4 × 64 tile
+
+  template <int MR, int NP>
+  TFACC_TARGET_AVX512VNNI static void tile(const MatI8& a, int i0,
+                                           const PackedI8& bp, int p0,
+                                           const std::int32_t* bias,
+                                           MatI32& out) {
+    __m512i acc[MR][NP];
+    for (int r = 0; r < MR; ++r)
+      for (int v = 0; v < NP; ++v) acc[r][v] = _mm512_setzero_si512();
+    const std::int8_t* panel0 = bp.panel(p0);
+    const std::size_t stride = bp.panel_bytes();
+    const int groups = bp.k_pad / PackedI8::kGroupK;
+    for (int g = 0; g < groups; ++g) {
+      std::uint32_t w[MR];
+      a_words(a, i0, g, w);
+      const std::int8_t* line =
+          panel0 + static_cast<std::size_t>(g) * PackedI8::kLineBytes;
+      __m512i b[NP];
+      for (int v = 0; v < NP; ++v) b[v] = _mm512_load_si512(line + v * stride);
+      for (int r = 0; r < MR; ++r) {
+        const __m512i av = _mm512_set1_epi32(static_cast<int>(w[r] ^ kFlip));
+        for (int v = 0; v < NP; ++v)
+          acc[r][v] = _mm512_dpbusd_epi32(acc[r][v], av, b[v]);
+      }
+    }
+    for (int v = 0; v < NP; ++v) {
+      const int j = (p0 + v) * PackedI8::kPanelCols;
+      const int cols = std::min(PackedI8::kPanelCols, bp.n - j);
+      const auto mask = static_cast<__mmask16>((1u << cols) - 1u);
+      __m512i corr = _mm512_sub_epi32(
+          bias != nullptr ? _mm512_maskz_loadu_epi32(mask, bias + j)
+                          : _mm512_setzero_si512(),
+          _mm512_load_si512(bp.sum128.data() + j));
+      for (int r = 0; r < MR; ++r)
+        _mm512_mask_storeu_epi32(out.row(i0 + r) + j, mask,
+                                 _mm512_add_epi32(acc[r][v], corr));
+    }
+  }
+};
+
+/// Store acc + bias to the first `cols` of out[j .. j+7] (cols ≥ 1).
+__attribute__((target("avx2"))) inline void store8(std::int32_t* dst,
+                                                   __m256i acc,
+                                                   const std::int32_t* bias,
+                                                   int cols) {
+  const __m256i mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(cols), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  if (bias != nullptr)
+    acc = _mm256_add_epi32(acc, _mm256_maskload_epi32(bias, mask));
+  _mm256_maskstore_epi32(dst, mask, acc);
+}
+
+/// AVX2: cvtepi8_epi16 + pmaddwd. A quarter line (4 columns × 4 k) widens to
+/// one ymm of int16; pmaddwd against A's 4 k (broadcast to every column)
+/// leaves each column as two adjacent int32 halves.
+struct Avx2Tier {
+  static constexpr int kRows = 3, kPanels = 1;  // a 3 × 16 tile
+
+  template <int MR, int NP>
+  __attribute__((target("avx2"))) static void tile(const MatI8& a, int i0,
+                                                   const PackedI8& bp, int p0,
+                                                   const std::int32_t* bias,
+                                                   MatI32& out) {
+    constexpr int NQ = 4 * NP;  // quarter lines per row
+    __m256i acc[MR][NQ];
+    for (int r = 0; r < MR; ++r)
+      for (int q = 0; q < NQ; ++q) acc[r][q] = _mm256_setzero_si256();
+    const std::int8_t* panel0 = bp.panel(p0);
+    const std::size_t stride = bp.panel_bytes();
+    const int groups = bp.k_pad / PackedI8::kGroupK;
+    for (int g = 0; g < groups; ++g) {
+      std::uint32_t w[MR];
+      a_words(a, i0, g, w);
+      __m256i av[MR];
+      for (int r = 0; r < MR; ++r)
+        av[r] = _mm256_broadcastq_epi64(_mm_cvtepi8_epi16(
+            _mm_cvtsi32_si128(static_cast<int>(w[r]))));
+      const std::int8_t* line =
+          panel0 + static_cast<std::size_t>(g) * PackedI8::kLineBytes;
+      for (int q = 0; q < NQ; ++q) {
+        const __m256i b = _mm256_cvtepi8_epi16(_mm_load_si128(
+            reinterpret_cast<const __m128i*>(line + (q / 4) * stride +
+                                             (q % 4) * 16)));
+        for (int r = 0; r < MR; ++r)
+          acc[r][q] = _mm256_add_epi32(acc[r][q], _mm256_madd_epi16(av[r], b));
+      }
+    }
+    // hadd(columns 0-3, columns 4-7) yields 64-bit lanes [c0c1, c4c5, c2c3,
+    // c6c7]; permute 0xD8 puts them back in column order.
+    for (int h = 0; h < NQ / 2; ++h) {
+      const int j = p0 * PackedI8::kPanelCols + 8 * h;
+      const int cols = std::min(8, bp.n - j);
+      if (cols <= 0) continue;  // a half panel of padding only
+      for (int r = 0; r < MR; ++r) {
+        const __m256i sum = _mm256_permute4x64_epi64(
+            _mm256_hadd_epi32(acc[r][2 * h], acc[r][2 * h + 1]), 0xD8);
+        store8(out.row(i0 + r) + j, sum, bias != nullptr ? bias + j : nullptr,
+               cols);
+      }
+    }
+  }
+};
+
+using TileFn = void (*)(const MatI8&, int, const PackedI8&, int,
+                        const std::int32_t*, MatI32&);
+
+/// Tier::tile<mr, np> for runtime 1 ≤ mr ≤ kRows, 1 ≤ np ≤ kPanels.
+template <class Tier, int MR, int NP = Tier::kPanels>
+TileFn pick_panels(int np) {
+  if constexpr (NP == 1) return &Tier::template tile<MR, 1>;
+  else  // NOLINT(readability-else-after-return)
+    return np == NP ? &Tier::template tile<MR, NP>
+                    : pick_panels<Tier, MR, NP - 1>(np);
+}
+
+template <class Tier, int MR = Tier::kRows>
+TileFn pick_tile(int mr, int np) {
+  if constexpr (MR == 1) return pick_panels<Tier, 1>(np);
+  else  // NOLINT(readability-else-after-return)
+    return mr == MR ? pick_panels<Tier, MR>(np)
+                    : pick_tile<Tier, MR - 1>(mr, np);
+}
+
+/// C = bias ⊕ A·B over the whole output, tile by tile: panel blocks outer
+/// (a block of B stays cache-resident), row blocks inner.
+template <class Tier>
+void gemm_i8_packed_tiled(const MatI8& a, const PackedI8& bp,
+                          const std::int32_t* bias, MatI32& out) {
+  const int m = a.rows();
+  const int panels = bp.n_pad / PackedI8::kPanelCols;
+  for (int p0 = 0; p0 < panels; p0 += Tier::kPanels) {
+    const int np = std::min(Tier::kPanels, panels - p0);
+    for (int i0 = 0; i0 < m; i0 += Tier::kRows) {
+      const int mr = std::min(Tier::kRows, m - i0);
+      pick_tile<Tier>(mr, np)(a, i0, bp, p0, bias, out);
+    }
+  }
+}
+
+#undef TFACC_TARGET_AVX512VNNI
+
 // --- SSE2 fallbacks (x86 baseline, no runtime check needed) ----------------
 
 /// Sign-extend the low/high 8 bytes of an epi8 vector to epi16 (SSE2 has no
@@ -563,19 +744,6 @@ void gemm_nt_i8_sse2(const MatI8& a, const MatI8& b, MatI32& out) {
     const std::int8_t* arow = a.row(i);
     std::int32_t* orow = out.row(i);
     for (int j = 0; j < b.rows(); ++j) orow[j] = dot_i8_sse2(arow, b.row(j), k);
-  }
-}
-
-void gemm_i8_packed_sse2(const MatI8& a, const PackedI8& bp,
-                         const std::int32_t* bias, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const std::int32_t seed = bias != nullptr ? bias[j] : 0;
-      orow[j] = seed + dot_i8_sse2(arow, bp.row(j), k);
-    }
   }
 }
 
@@ -618,49 +786,12 @@ std::int32_t dot_i8_neon(const std::int8_t* a, const std::int8_t* b, int k) {
   return sum;
 }
 
-std::int32_t dot_i16_neon(const std::int16_t* a, const std::int16_t* b,
-                          int k) {
-  int32x4_t acc = vdupq_n_s32(0);
-  int p = 0;
-  for (; p + 8 <= k; p += 8) {
-    const int16x8_t av = vld1q_s16(a + p);
-    const int16x8_t bv = vld1q_s16(b + p);
-    acc = vmlal_s16(acc, vget_low_s16(av), vget_low_s16(bv));
-    acc = vmlal_s16(acc, vget_high_s16(av), vget_high_s16(bv));
-  }
-  std::int32_t sum = vaddvq_s32(acc);
-  for (; p < k; ++p) sum += static_cast<std::int32_t>(a[p]) * b[p];
-  return sum;
-}
-
 void gemm_nt_i8_neon(const MatI8& a, const MatI8& b, MatI32& out) {
   const int k = a.cols();
   for (int i = 0; i < a.rows(); ++i) {
     const std::int8_t* arow = a.row(i);
     std::int32_t* orow = out.row(i);
     for (int j = 0; j < b.rows(); ++j) orow[j] = dot_i8_neon(arow, b.row(j), k);
-  }
-}
-
-void gemm_i8_packed_neon(const MatI8& a, const PackedI8& bp,
-                         const std::int32_t* bias, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int8_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) {
-      const std::int32_t seed = bias != nullptr ? bias[j] : 0;
-      orow[j] = seed + dot_i8_neon(arow, bp.row(j), k);
-    }
-  }
-}
-
-void gemm_i16_packed_neon(const MatI16& a, const PackedI16& bp, MatI32& out) {
-  const int k = a.cols();
-  for (int i = 0; i < a.rows(); ++i) {
-    const std::int16_t* arow = a.row(i);
-    std::int32_t* orow = out.row(i);
-    for (int j = 0; j < bp.n; ++j) orow[j] = dot_i16_neon(arow, bp.row(j), k);
   }
 }
 
@@ -799,26 +930,25 @@ void gemm_nt_i8_into(const MatI8& a, const MatI8& b, MatI32& out) {
 
 namespace {
 
+/// The fastest packed tier this host supports, chosen once.
+GemmTier host_tier() {
+  static const GemmTier tier = [] {
+    for (const GemmTier t : {GemmTier::kAvx512Vnni, GemmTier::kAvx2})
+      if (detail::tier_supported(t)) return t;
+    return GemmTier::kScalar;
+  }();
+  return tier;
+}
+
 void gemm_i8_packed_dispatch(const MatI8& a, const PackedI8& bp,
                              const std::int32_t* bias, MatI32& out) {
-  TFACC_CHECK_ARG(a.cols() == bp.k);
-  TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
-#if TFACC_SIMD_X86
-  if (simd_selected()) {
-    if (cpu_has_avx2()) gemm_i8_packed_avx2(a, bp, bias, out);
-    else gemm_i8_packed_sse2(a, bp, bias, out);
-    return;
-  }
-#elif TFACC_KERNELS_NEON
-  if (simd_selected()) {
-    gemm_i8_packed_neon(a, bp, bias, out);
-    return;
-  }
-#endif
-  gemm_packed_scalar(a, bp, bias, out);
+  detail::gemm_i8_packed_tier_into(
+      simd_selected() ? host_tier() : GemmTier::kScalar, a, bp, bias, out);
 }
 
 }  // namespace
+
+const char* gemm_tier() { return detail::tier_name(host_tier()); }
 
 void gemm_i8_packed_into(const MatI8& a, const PackedI8& bp, MatI32& out) {
   gemm_i8_packed_dispatch(a, bp, nullptr, out);
@@ -831,22 +961,61 @@ void gemm_i8_packed_bias_into(const MatI8& a, const PackedI8& bp,
   gemm_i8_packed_dispatch(a, bp, bias.data(), out);
 }
 
-void gemm_i16_packed_into(const MatI16& a, const PackedI16& bp, MatI32& out) {
+namespace detail {
+
+const char* tier_name(GemmTier tier) {
+  switch (tier) {
+    case GemmTier::kAvx512Vnni:
+      return "avx512vnni";
+    case GemmTier::kAvx2:
+      return "avx2";
+    case GemmTier::kScalar:
+      return "scalar";
+  }
+  return "?";
+}
+
+bool tier_supported(GemmTier tier) {
+#if TFACC_SIMD_X86
+  switch (tier) {
+    case GemmTier::kAvx512Vnni: {
+      static const bool has = __builtin_cpu_supports("avx512f") &&
+                              __builtin_cpu_supports("avx512vnni");
+      return has;
+    }
+    case GemmTier::kAvx2:
+      return cpu_has_avx2();
+    case GemmTier::kScalar:
+      return true;
+  }
+  return false;
+#else
+  return tier == GemmTier::kScalar;
+#endif
+}
+
+bool gemm_i8_packed_tier_into(GemmTier tier, const MatI8& a,
+                              const PackedI8& bp, const std::int32_t* bias,
+                              MatI32& out) {
   TFACC_CHECK_ARG(a.cols() == bp.k);
   TFACC_CHECK_ARG(out.rows() == a.rows() && out.cols() == bp.n);
+  if (!tier_supported(tier)) return false;
+  switch (tier) {
 #if TFACC_SIMD_X86
-  if (simd_selected() && cpu_has_avx2()) {
-    gemm_i16_packed_avx2(a, bp, out);
-    return;
-  }
-#elif TFACC_KERNELS_NEON
-  if (simd_selected()) {
-    gemm_i16_packed_neon(a, bp, out);
-    return;
-  }
+    case GemmTier::kAvx512Vnni:
+      gemm_i8_packed_tiled<Avx512VnniTier>(a, bp, bias, out);
+      return true;
+    case GemmTier::kAvx2:
+      gemm_i8_packed_tiled<Avx2Tier>(a, bp, bias, out);
+      return true;
 #endif
-  gemm_packed_scalar(a, bp, nullptr, out);
+    default:
+      gemm_i8_packed_scalar(a, bp, bias, out);
+      return true;
+  }
 }
+
+}  // namespace detail
 
 void requantize_i8_into(const MatI32& acc, std::int32_t mantissa, int shift,
                         MatI8& out) {

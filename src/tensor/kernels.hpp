@@ -6,9 +6,10 @@
 //   ----------|------------------------------------------------------------
 //   kScalar   | the original tensor/ops triple loops, kept verbatim as the
 //             | reference semantics (and the perf baseline for the 2× gate)
-//   kSimd     | intrinsics (AVX2 / SSE2 / NEON) chosen by a *runtime* CPU
-//             | check — the binary is compiled without -march so it runs
-//             | anywhere; an op with no vector path on the host runs kScalar
+//   kSimd     | intrinsics (AVX-512 VNNI / AVX2 / SSE2 / NEON)
+//             | chosen by a *runtime* CPU check — the binary is compiled
+//             | without -march so it runs anywhere; an op with no vector
+//             | path on the host runs kScalar
 //
 // Selection: `TFACC_KERNEL=scalar|simd` (read once at first use),
 // overridable with set_kind() for A/B benches and tests. Default is kSimd.
@@ -63,6 +64,11 @@ bool simd_available();
 /// perf-gate capability match: "avx2" | "sse2" | "neon" | "generic".
 const char* capability();
 
+/// The packed int8 GEMM tier kSimd runs on this host, chosen once by
+/// __builtin_cpu_supports: "avx512vnni" | "avx2" | "scalar".
+/// Reported beside capability(), which stays the perf-gate match key.
+const char* gemm_tier();
+
 // --- Dispatched GEMMs (out must be pre-shaped; overwritten, no alloc) ------
 
 /// C = A·B, float. Bit-identical across kinds (fixed summation order).
@@ -91,8 +97,24 @@ void gemm_i8_packed_bias_into(const MatI8& a, const PackedI8& bp,
                               const std::vector<std::int32_t>& bias,
                               MatI32& out);
 
-/// C = A·B with B packed, int16 operands. Exact within int32 range.
-void gemm_i16_packed_into(const MatI16& a, const PackedI16& bp, MatI32& out);
+namespace detail {
+
+/// The packed int8 GEMM tiers (src/tensor/kernels.cpp), fastest first.
+enum class GemmTier { kAvx512Vnni, kAvx2, kScalar };
+
+const char* tier_name(GemmTier tier);
+
+/// True when this host can run `tier` (kScalar: always).
+bool tier_supported(GemmTier tier);
+
+/// Test seam: C = bias ⊕ A·B on exactly `tier`, whatever kind is selected
+/// (`bias` may be null). Returns false, leaving `out` untouched, when the
+/// host lacks the tier.
+bool gemm_i8_packed_tier_into(GemmTier tier, const MatI8& a,
+                              const PackedI8& bp, const std::int32_t* bias,
+                              MatI32& out);
+
+}  // namespace detail
 
 // --- Dispatched requantization ---------------------------------------------
 // out = saturate(round((acc · mantissa) >> shift)) per element — the hardware

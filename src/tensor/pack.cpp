@@ -1,41 +1,59 @@
 #include "tensor/pack.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace tfacc {
 namespace {
 
-template <typename T>
-PackedB<T> pack_b(const Matrix<T>& b) {
-  constexpr int kPadElems = static_cast<int>(64 / sizeof(T));
-  PackedB<T> out;
-  out.k = b.rows();
-  out.n = b.cols();
-  out.k_pad = (b.rows() + kPadElems - 1) / kPadElems * kPadElems;
-  out.data.assign(static_cast<std::size_t>(out.n) * out.k_pad, T{});
-  for (int j = 0; j < out.n; ++j) {
-    T* dst = out.data.data() + static_cast<std::size_t>(j) * out.k_pad;
-    for (int p = 0; p < out.k; ++p) dst[p] = b(p, j);
-  }
-  return out;
-}
-
-template <typename T>
-Matrix<T> unpack_b(const PackedB<T>& p) {
-  Matrix<T> out(p.k, p.n);
-  for (int j = 0; j < p.n; ++j) {
-    const T* src = p.row(j);
-    for (int r = 0; r < p.k; ++r) out(r, j) = src[r];
-  }
-  return out;
+/// Byte offset of B(p, j) inside the pack.
+std::size_t packed_offset(const PackedI8& pk, int p, int j) {
+  return static_cast<std::size_t>(j / PackedI8::kPanelCols) *
+             pk.panel_bytes() +
+         static_cast<std::size_t>(p / PackedI8::kGroupK) *
+             PackedI8::kLineBytes +
+         static_cast<std::size_t>(j % PackedI8::kPanelCols) *
+             PackedI8::kGroupK +
+         static_cast<std::size_t>(p % PackedI8::kGroupK);
 }
 
 }  // namespace
 
-PackedI8 pack_b_i8(const MatI8& b) { return pack_b(b); }
-PackedI16 pack_b_i16(const MatI16& b) { return pack_b(b); }
-PackedF pack_b_f32(const MatF& b) { return pack_b(b); }
+PackedI8 pack_b_i8(const MatI8& b) {
+  PackedI8 out;
+  out.k = b.rows();
+  out.n = b.cols();
+  out.k_pad = (out.k + PackedI8::kGroupK - 1) / PackedI8::kGroupK *
+              PackedI8::kGroupK;
+  out.n_pad = (out.n + PackedI8::kPanelCols - 1) / PackedI8::kPanelCols *
+              PackedI8::kPanelCols;
+  out.data.assign(static_cast<std::size_t>(out.n_pad) * out.k_pad, 0);
+  std::vector<std::int64_t> sums(static_cast<std::size_t>(out.n), 0);
+  for (int p = 0; p < out.k; ++p) {  // row-major over B
+    const std::int8_t* src = b.row(p);
+    std::int8_t* dst = out.data.data() + packed_offset(out, p, 0);
+    for (int j0 = 0; j0 < out.n; j0 += PackedI8::kPanelCols) {
+      const int end = std::min(out.n, j0 + PackedI8::kPanelCols);
+      for (int j = j0; j < end; ++j) {
+        dst[(j - j0) * PackedI8::kGroupK] = src[j];
+        sums[static_cast<std::size_t>(j)] += src[j];
+      }
+      dst += out.panel_bytes();
+    }
+  }
+  // Narrowed modulo 2³², like the VNNI kernel's own sums (kernels.cpp).
+  out.sum128.assign(static_cast<std::size_t>(out.n_pad), 0);
+  for (int j = 0; j < out.n; ++j)
+    out.sum128[static_cast<std::size_t>(j)] =
+        static_cast<std::int32_t>(128 * sums[static_cast<std::size_t>(j)]);
+  return out;
+}
 
-MatI8 unpack_b_i8(const PackedI8& p) { return unpack_b(p); }
-MatI16 unpack_b_i16(const PackedI16& p) { return unpack_b(p); }
-MatF unpack_b_f32(const PackedF& p) { return unpack_b(p); }
+MatI8 unpack_b_i8(const PackedI8& p) {
+  MatI8 out(p.k, p.n);
+  for (int r = 0; r < p.k; ++r)
+    for (int j = 0; j < p.n; ++j) out(r, j) = p.data[packed_offset(p, r, j)];
+  return out;
+}
 
 }  // namespace tfacc

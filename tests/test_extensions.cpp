@@ -289,6 +289,54 @@ TEST(FaultInjection, DegradationGrowsWithBer) {
   EXPECT_GT(prev_cos, 0.0);  // heavily degraded but not random-sign garbage
 }
 
+TEST(FaultInjection, PackedKernelSeesTheFlippedWeights) {
+  // Every layer's packed accumulate must equal the dense GEMM on its mutated
+  // w: a stale pack, or a stale Σb correction, would still read the clean
+  // weights.
+  ModelConfig cfg;
+  cfg.d_model = 128;
+  cfg.d_ff = 512;
+  cfg.num_heads = 2;
+  cfg.head_dim = 64;
+  Rng rng(15);
+  MatF sample(6, cfg.d_model);
+  fill_normal(sample, rng, 0, 1);
+  MhaQuantized::Calibration mcal;
+  mcal.q = {sample};
+  mcal.kv = {sample};
+  mcal.mask = {Mask(6, 6)};
+  FfnQuantized::Calibration fcal;
+  fcal.x = {sample};
+  MhaQuantized mha = MhaQuantized::build(MhaWeights::random(cfg, rng), mcal,
+                                         SoftmaxImpl::kHardware);
+  FfnQuantized ffn = FfnQuantized::build(FfnWeights::random(cfg, rng), fcal);
+
+  std::vector<const QuantizedLinear*> layers;
+  std::vector<MatI32> clean;
+  for (const auto& h : mha.heads)
+    for (const QuantizedLinear* l : {&h.wq, &h.wk, &h.wv}) layers.push_back(l);
+  layers.push_back(&mha.wg);
+  layers.push_back(&ffn.w1);
+  layers.push_back(&ffn.w2);
+  std::vector<MatI8> xs;
+  for (const QuantizedLinear* l : layers) {
+    MatI8 x(5, l->w.rows());
+    fill_uniform_i8(x, rng);
+    clean.push_back(l->accumulate(x));
+    xs.push_back(std::move(x));
+  }
+
+  Rng frng(16);
+  EXPECT_GT(inject_faults(mha, 1e-2, frng), 0);
+  EXPECT_GT(inject_faults(ffn, 1e-2, frng), 0);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const QuantizedLinear& l = *layers[i];
+    const MatI32 got = l.accumulate(xs[i]);
+    EXPECT_EQ(got, add_bias_i32(gemm_i8(xs[i], l.w), l.bias)) << "layer " << i;
+    EXPECT_NE(got, clean[i]) << "layer " << i << " saw no flipped weight";
+  }
+}
+
 TEST(FaultInjection, RejectsInvalidBer) {
   MatI8 m(2, 2);
   Rng rng(14);

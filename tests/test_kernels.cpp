@@ -9,9 +9,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -181,9 +183,6 @@ TEST_P(KernelEquivalence, MatchesScalarBitExact) {
     const PackedI8 p8 = pack_b_i8(b8);
     kernels::gemm_i8_packed_into(a8, p8, got_i32);
     expect_same(got_i32, want_i8, "gemm_i8_packed", s);
-    const PackedI16 p16 = pack_b_i16(b16);
-    kernels::gemm_i16_packed_into(a16, p16, got_i32);
-    expect_same(got_i32, want_i16, "gemm_i16_packed", s);
 
     // Fused bias: exactly add_bias_i32(gemm_i8(a, b), bias).
     const MatI32 want_bias = add_bias_i32(want_i8, bias);
@@ -402,33 +401,155 @@ TEST(PackB, RoundTripsAndPadsWithZeros) {
     const PackedI8 p8 = pack_b_i8(b8);
     EXPECT_EQ(p8.k, s.k);
     EXPECT_EQ(p8.n, s.n);
-    EXPECT_EQ(p8.k_pad % 64, 0);  // int8: 64 elements per 64 bytes
+    EXPECT_EQ(p8.k_pad % PackedI8::kGroupK, 0);
+    EXPECT_EQ(p8.n_pad % PackedI8::kPanelCols, 0);
     EXPECT_GE(p8.k_pad, s.k);
+    EXPECT_LT(p8.k_pad - s.k, PackedI8::kGroupK);
+    EXPECT_GE(p8.n_pad, s.n);
+    EXPECT_LT(p8.n_pad - s.n, PackedI8::kPanelCols);
+    ASSERT_EQ(p8.data.size(), static_cast<std::size_t>(p8.n_pad) * p8.k_pad);
     EXPECT_EQ(unpack_b_i8(p8), b8);
-    for (int j = 0; j < p8.n; ++j)
-      for (int x = p8.k; x < p8.k_pad; ++x)
-        ASSERT_EQ(p8.row(j)[x], 0) << "pad row " << j << " elem " << x;
-
-    const MatI16 b16 = rand_i16(s.k, s.n, rng);
-    const PackedI16 p16 = pack_b_i16(b16);
-    EXPECT_EQ(p16.k_pad % 32, 0);  // int16: 32 elements per 64 bytes
-    EXPECT_EQ(unpack_b_i16(p16), b16);
-
-    const MatF bf = rand_f32(s.k, s.n, rng);
-    const PackedF pf = pack_b_f32(bf);
-    EXPECT_EQ(pf.k_pad % 16, 0);  // f32: 16 elements per 64 bytes
-    EXPECT_EQ(unpack_b_f32(pf), bf);
+    // Every byte past k or past n is zero padding.
+    for (int j = 0; j < p8.n_pad; ++j)
+      for (int x = 0; x < p8.k_pad; ++x) {
+        if (j < p8.n && x < p8.k) continue;
+        const std::int8_t* panel = p8.panel(j / PackedI8::kPanelCols);
+        ASSERT_EQ(panel[x / PackedI8::kGroupK * PackedI8::kLineBytes +
+                        j % PackedI8::kPanelCols * PackedI8::kGroupK +
+                        x % PackedI8::kGroupK],
+                  0)
+            << "pad column " << j << " k " << x;
+      }
+    // sum128[j] = 128·Σ_p B(p, j), zero in the padding columns.
+    ASSERT_EQ(p8.sum128.size(), static_cast<std::size_t>(p8.n_pad));
+    for (int j = 0; j < p8.n_pad; ++j) {
+      std::int32_t sum = 0;
+      for (int x = 0; j < p8.n && x < p8.k; ++x) sum += b8(x, j);
+      EXPECT_EQ(p8.sum128[static_cast<std::size_t>(j)], 128 * sum)
+          << "column " << j;
+    }
   }
 }
 
 TEST(PackB, RowsAreCacheLineAligned) {
+  // Every panel (and so every 64-byte line a kernel loads) starts on a
+  // cache line, ragged k included; so does the Σb correction row.
   Rng rng(8);
-  const MatI8 b = rand_i8(100, 7, rng);
-  const PackedI8 p = pack_b_i8(b);
-  for (int j = 0; j < p.n; ++j)
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p.row(j)) % 64, 0u)
-        << "row " << j;
+  for (const int k : {100, 101, 3}) {
+    const MatI8 b = rand_i8(k, 37, rng);
+    const PackedI8 p = pack_b_i8(b);
+    for (int panel = 0; panel < p.n_pad / PackedI8::kPanelCols; ++panel)
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p.panel(panel)) % 64, 0u)
+          << "k " << k << " panel " << panel;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p.sum128.data()) % 64, 0u);
+  }
 }
+
+// --- Packed GEMM tiers ------------------------------------------------------
+// Every tier this host has must equal the scalar reference bit for bit; a
+// tier the host lacks skips under its own name.
+
+class PackedGemmTier
+    : public ::testing::TestWithParam<kernels::detail::GemmTier> {
+ protected:
+  void SetUp() override {
+    if (!kernels::detail::tier_supported(GetParam()))
+      GTEST_SKIP() << "host lacks the "
+                   << kernels::detail::tier_name(GetParam()) << " tier";
+  }
+
+  /// Runs the tier and the scalar loop on (a, b) with and without `bias`.
+  void expect_tier_matches(const MatI8& a, const MatI8& b,
+                           const std::vector<std::int32_t>& bias,
+                           const Shape& s) {
+    using kernels::detail::GemmTier;
+    const PackedI8 bp = pack_b_i8(b);
+    const std::int32_t* no_bias = nullptr;
+    for (const std::int32_t* bptr : {bias.data(), no_bias}) {
+      MatI32 want(s.m, s.n), got(s.m, s.n);
+      ASSERT_TRUE(kernels::detail::gemm_i8_packed_tier_into(
+          GemmTier::kScalar, a, bp, bptr, want));
+      ASSERT_TRUE(kernels::detail::gemm_i8_packed_tier_into(GetParam(), a, bp,
+                                                            bptr, got));
+      for (int r = 0; r < s.m; ++r)
+        for (int c = 0; c < s.n; ++c)
+          ASSERT_EQ(got(r, c), want(r, c))
+              << kernels::detail::tier_name(GetParam()) << " (" << s.m << 'x'
+              << s.k << 'x' << s.n << (bptr != nullptr ? ", bias" : "")
+              << ") at (" << r << ',' << c << ')';
+    }
+    // The scalar loop itself is gemm_i8 + add_bias_i32 on the dense B.
+    MatI32 dense(s.m, s.n), with_bias(s.m, s.n);
+    {
+      KindGuard g(kernels::Kind::kScalar);
+      kernels::gemm_i8_into(a, b, dense);
+    }
+    ASSERT_TRUE(kernels::detail::gemm_i8_packed_tier_into(
+        kernels::detail::GemmTier::kScalar, a, bp, bias.data(), with_bias));
+    expect_same(with_bias, add_bias_i32(dense, bias), "packed scalar", s);
+  }
+};
+
+TEST_P(PackedGemmTier, MatchesScalarOnShapeGrid) {
+  Rng rng(99);
+  const Shape extra[] = {{5, 512, 64}, {6, 20, 50}, {3, 9, 130}};
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), std::begin(extra), std::end(extra));
+  for (const Shape& s : shapes) {
+    const MatI8 a = rand_i8(s.m, s.k, rng);
+    const MatI8 b = rand_i8(s.k, s.n, rng);
+    std::vector<std::int32_t> bias(static_cast<std::size_t>(s.n));
+    for (auto& v : bias) v = rng.uniform_int(-100000, 100000);
+    expect_tier_matches(a, b, bias, s);
+  }
+}
+
+TEST_P(PackedGemmTier, ExtremeOperandsPinTheSumCorrection) {
+  // All −128, all +127 and mixed signs at a full (2048) and a ragged (2051)
+  // k: the largest |Σ(a+128)·b| and |128·Σb| the VNNI tiers see there.
+  Rng rng(100);
+  for (const int k : {2048, 2051}) {
+    const Shape s{5, k, 35};
+    for (const auto& [av, bv] : {std::pair{-128, -128}, std::pair{127, 127},
+                                 std::pair{-128, 127}, std::pair{127, -128},
+                                 std::pair{0, 0}}) {
+      MatI8 a(s.m, s.k), b(s.k, s.n);
+      for (int r = 0; r < s.m; ++r)
+        for (int p = 0; p < s.k; ++p)
+          a(r, p) = static_cast<std::int8_t>(av == 0 ? (p % 2 ? -128 : 127)
+                                                     : av);
+      for (int p = 0; p < s.k; ++p)
+        for (int c = 0; c < s.n; ++c)
+          b(p, c) = static_cast<std::int8_t>(bv == 0 ? (c % 2 ? 127 : -128)
+                                                     : bv);
+      std::vector<std::int32_t> bias(static_cast<std::size_t>(s.n));
+      for (auto& v : bias) v = rng.uniform_int(-100000, 100000);
+      expect_tier_matches(a, b, bias, s);
+    }
+  }
+}
+
+TEST_P(PackedGemmTier, WrappedSumsAreExactWhenTheResultFits) {
+  // a = b = 127 at k = 70,000: Σ(a+128)·b = 255·127·k passes 2³¹ and wraps
+  // in the VNNI accumulator, while Σa·b = 127²·k and 128·Σb still fit.
+  const Shape s{2, 70000, 17};
+  MatI8 a(s.m, s.k), b(s.k, s.n);
+  for (int p = 0; p < s.k; ++p) {
+    a(0, p) = 127;
+    a(1, p) = static_cast<std::int8_t>(p % 2 ? 127 : -128);
+    for (int c = 0; c < s.n; ++c) b(p, c) = 127;
+  }
+  expect_tier_matches(a, b, std::vector<std::int32_t>(s.n, -5), s);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTiers, PackedGemmTier,
+    ::testing::Values(kernels::detail::GemmTier::kAvx512Vnni,
+                      kernels::detail::GemmTier::kAvx2,
+                      kernels::detail::GemmTier::kScalar),
+    [](const auto& info) {
+      return std::string(kernels::detail::tier_name(info.param));
+    });
 
 // --- Dispatch knob ----------------------------------------------------------
 
@@ -462,6 +583,19 @@ TEST(KernelDispatch, RefreshFromEnvReadsTheKnob) {
   ASSERT_EQ(unsetenv("TFACC_KERNEL"), 0);
   EXPECT_EQ(kernels::refresh_from_env(), kernels::Kind::kSimd);  // default
   kernels::set_kind(saved);
+}
+
+TEST(KernelDispatch, GemmTierIsTheFastestSupportedTier) {
+  using kernels::detail::GemmTier;
+  const std::string tier = kernels::gemm_tier();
+  for (const GemmTier t :
+       {GemmTier::kAvx512Vnni, GemmTier::kAvx2, GemmTier::kScalar}) {
+    if (kernels::detail::tier_supported(t)) {
+      EXPECT_EQ(tier, kernels::detail::tier_name(t));
+      break;
+    }
+  }
+  EXPECT_TRUE(kernels::detail::tier_supported(GemmTier::kScalar));
 }
 
 TEST(KernelDispatch, CapabilityNamesAreStable) {

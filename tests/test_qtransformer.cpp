@@ -77,9 +77,9 @@ class BlockDigest {
         static_cast<int>(q.granularity));
     for (const float s : q.col_w_scale) one(s);
     for (const FixedPointScale& s : q.col_requant) one(s);
-    add(q.wpack.k, q.wpack.n, q.wpack.k_pad);
-    bytes(q.wpack.data.data(),
-          static_cast<std::size_t>(q.wpack.n) * q.wpack.k_pad);
+    add(q.wpack.k, q.wpack.n, q.wpack.k_pad, q.wpack.n_pad);
+    bytes(q.wpack.data.data(), q.wpack.data.size());
+    bytes(q.wpack.sum128.data(), q.wpack.sum128.size() * sizeof(std::int32_t));
   }
 
   std::uint64_t h_ = 1469598103934665603ULL;
